@@ -37,11 +37,7 @@ def _auto_form(n: int) -> str:
 
 
 def cmd_verify_table(path: str, form: str | None, out: str | None) -> int:
-    try:
-        rs = parse_rotation_file(Path(path).read_text())
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rs = parse_rotation_file(Path(path).read_text())
     kind = form or _auto_form(rs.graph.n)
     report = selfcomp.verify_table(rs, selfcomp.AntimorphismForm(kind, rs.graph.n))
     _emit(render_report(report), out)
@@ -78,11 +74,7 @@ def cmd_bounds(n: int | None, g: int | None, out: str | None) -> int:
 
 
 def cmd_selfcomp_search(path: str, budget: int, out: str | None) -> int:
-    try:
-        g = parse_graph_file(Path(path).read_text())
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    g = parse_graph_file(Path(path).read_text())
     rs = selfcomp.search_triangular(g, budget)
     if rs is None:
         print(f"no triangular embedding found within budget {budget}", file=sys.stderr)
@@ -92,12 +84,7 @@ def cmd_selfcomp_search(path: str, budget: int, out: str | None) -> int:
 
 
 def cmd_derive(path: str, out: str | None) -> int:
-    try:
-        cg = parse_current_graph_file(Path(path).read_text())
-        rs = derive_embedding(cg)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    rs = derive_embedding(parse_current_graph_file(Path(path).read_text()))
     _emit(serialize_rotation(rs), out)
     return 0
 
@@ -171,7 +158,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_selfcomp_search(args.graph, args.budget, args.out)
         if args.command == "derive":
             return cmd_derive(args.current_graph, args.out)
-    except (ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     raise AssertionError(f"unhandled command {args.command}")

@@ -23,11 +23,17 @@ Arcs are addressed as (vertex, slot) pairs, so parallel edges are fine.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
-from math import gcd
 
-from .embeddings import RotationSystem, is_triangular, trace_faces, validate_rotation
-from .graphs import DifferenceSet, make_circulant
+from .embeddings import RotationSystem
+from .graphs import (
+    DifferenceSet,
+    circulant_is_connected,
+    cycles,
+    make_circulant,
+    rows_in_label_order,
+)
 
 Dart = tuple[int, int]
 
@@ -49,10 +55,6 @@ class CurrentGraph:
                         f"current {c} at vertex {v} outside 1..{self.n - 1}"
                     )
         _twin_map(self)  # raises if arcs do not pair up with negated reverses
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self.rows)
 
     @property
     def edge_count(self) -> int:
@@ -105,21 +107,10 @@ def _face_orbits(cg: CurrentGraph) -> list[list[Dart]]:
     """Faces of the embedding: after an arc, take the rotation successor of
     its reverse at the head vertex."""
     twins = _twin_map(cg)
-    unused = set(twins)
-    orbits: list[list[Dart]] = []
-    while unused:
-        start = min(unused)
-        orbit: list[Dart] = []
-        d = start
-        while True:
-            orbit.append(d)
-            unused.discard(d)
-            w, j = twins[d]
-            d = (w, (j + 1) % len(cg.rows[w]))
-            if d == start:
-                break
-        orbits.append(orbit)
-    return orbits
+    darts = sorted(twins)
+    index = {d: i for i, d in enumerate(darts)}
+    phi = [index[w, (j + 1) % len(cg.rows[w])] for w, j in map(twins.get, darts)]
+    return [[darts[i] for i in orbit] for orbit in cycles(phi, range(len(phi)))]
 
 
 def validate_current_graph(cg: CurrentGraph) -> CurrentGraphReport:
@@ -142,15 +133,14 @@ def validate_current_graph(cg: CurrentGraph) -> CurrentGraphReport:
             kirchhoff = False
             failures.append(f"currents entering vertex {v} sum to {entering}, not 0")
 
-    classes = [min(c, cg.n - c) for row in cg.rows for _, c in row]
+    classes = Counter(min(c, cg.n - c) for row in cg.rows for _, c in row)
     # every edge contributes twice (once per endpoint), so each class should
     # appear exactly twice overall
-    distinct = all(classes.count(x) == 2 for x in set(classes)) and 0 not in classes
-    if not distinct:
-        dup = sorted({x for x in set(classes) if classes.count(x) != 2})
+    dup = sorted(x for x, count in classes.items() if count != 2)
+    if dup:
         failures.append(f"currents {dup} repeat across edges (up to sign)")
 
-    return CurrentGraphReport(one_face, cubic, kirchhoff, distinct, tuple(failures))
+    return CurrentGraphReport(one_face, cubic, kirchhoff, not dup, tuple(failures))
 
 
 def current_classes(cg: CurrentGraph) -> DifferenceSet:
@@ -187,22 +177,16 @@ def derive_embedding(cg: CurrentGraph) -> RotationSystem:
             "current graph fails validation: " + "; ".join(report.failures)
         )
     x = current_classes(cg)
-    g = cg.n
-    for d in x.x:
-        g = gcd(g, d)
-    if g != 1:
+    if not circulant_is_connected(x):
         raise ValueError(
-            f"derived graph disconnected (gcd of currents with {cg.n} is {g}): "
+            f"derived graph disconnected (the currents share a factor with {cg.n}): "
             "the result would be more than one triangulated surface"
         )
     log = circuit_log(cg).currents
     rows = tuple(tuple((k + d) % cg.n for d in log) for k in range(cg.n))
-    graph = make_circulant(x)
-    rs = RotationSystem(graph, rows)
-    if not validate_rotation(rs).ok:
-        raise AssertionError("derived rotation is not a rotation system of C(n, X)")
-    if not is_triangular(trace_faces(rs)):
-        raise AssertionError("derived embedding is not triangular")
+    rs = RotationSystem(make_circulant(x), rows)
+    if not rs.certificate.triangular:  # false too when the rows are not C(n, X)'s
+        raise AssertionError(f"derived embedding not triangular ({rs.certificate})")
     return rs
 
 
@@ -220,6 +204,8 @@ def parse_current_graph_file(text: str) -> CurrentGraph:
     if len(head) != 2 or head[0] != "n":
         raise ValueError(f"bad header line: {lines[0]!r}")
     n = int(head[1])
+    if n < 2:
+        raise ValueError(f"modulus must be at least 2, got {n}")
     rows: dict[int, tuple[tuple[int, int], ...]] = {}
     for line in lines[1:]:
         head, sep, rest = line.partition(":")
@@ -238,11 +224,7 @@ def parse_current_graph_file(text: str) -> CurrentGraph:
                 raise ValueError(f"zero current on arc {v}->{w}")
             entries.append((w, t % n))
         rows[v] = tuple(entries)
-    count = max(rows) + 1
-    missing = [v for v in range(count) if v not in rows]
-    if missing:
-        raise ValueError(f"missing rows for vertices {missing}")
-    return CurrentGraph(n, tuple(rows[v] for v in range(count)))
+    return CurrentGraph(n, rows_in_label_order(rows))
 
 
 def serialize_current_graph(cg: CurrentGraph) -> str:

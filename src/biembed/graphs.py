@@ -82,12 +82,13 @@ class DifferenceSet:
 
 def make_circulant(d: DifferenceSet) -> Graph:
     """The circulant graph C(n, X): vertex i adjacent to i ± x mod n, x ∈ X."""
-    edges = set()
-    for i in range(d.n):
-        for x in d.x:
-            j = (i + x) % d.n
-            edges.add((min(i, j), max(i, j)))
-    return Graph(d.n, frozenset(edges))
+    n = d.n
+    # i ~ i + x without wrapping, and j ~ j + n - x for the pairs that wrap;
+    # no two coincide, since every x is below n/2
+    return Graph(n, frozenset(
+        [(i, i + x) for x in d.x for i in range(n - x)]
+        + [(j, j + n - x) for x in d.x for j in range(x)]
+    ))
 
 
 def complement(g: Graph) -> Graph:
@@ -95,23 +96,31 @@ def complement(g: Graph) -> Graph:
     return Graph(g.n, frozenset(all_pairs - g.edges))
 
 
+def spans_all(adj) -> bool:
+    """True iff a search from vertex 0 along the lists adj[v] of neighbors
+    reaches all len(adj) vertices (vacuously true for none)."""
+    if not adj:
+        return True
+    seen = bytearray(len(adj))
+    seen[0] = 1
+    stack = [0]
+    reached = 1
+    while stack:
+        for w in adj[stack.pop()]:
+            if not seen[w]:
+                seen[w] = 1
+                reached += 1
+                stack.append(w)
+    return reached == len(adj)
+
+
 def is_connected(g: Graph) -> bool:
     """True iff g has a single connected component (vacuously true for n = 0)."""
-    if g.n == 0:
-        return True
-    adj: dict[int, list[int]] = {v: [] for v in range(g.n)}
+    adj: list[list[int]] = [[] for _ in range(g.n)]
     for u, v in g.edges:
         adj[u].append(v)
         adj[v].append(u)
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == g.n
+    return spans_all(adj)
 
 
 @dataclass(frozen=True)
@@ -140,6 +149,21 @@ class Permutation:
         for i, j in enumerate(self.images):
             inv[j] = i
         return Permutation(tuple(inv))
+
+
+def cycles(phi: list[int], starts):
+    """The cycles of the permutation phi of 0..len(phi)-1 as lists, each
+    begun at its first element in ``starts``, in that order."""
+    seen = bytearray(len(phi))
+    for d in starts:
+        if seen[d]:
+            continue
+        orbit = []
+        while not seen[d]:
+            seen[d] = 1
+            orbit.append(d)
+            d = phi[d]
+        yield orbit
 
 
 def identity_permutation(n: int) -> Permutation:
@@ -177,6 +201,24 @@ def parse_graph_file(text: str) -> Graph:
         u, v = int(parts[0]), int(parts[1])
         edges.append((u, v))
     return make_graph(n, edges)
+
+
+def rows_in_label_order(rows: dict[int, tuple]) -> tuple[tuple, ...]:
+    """The rows of a parsed file, which must be labelled 0..len(rows)-1;
+    names the first missing labels in time bounded by len(rows)."""
+    if not rows:
+        raise ValueError("no vertex rows")
+    n, top = len(rows), max(rows)
+    if min(rows) < 0:
+        raise ValueError(f"negative vertex label {min(rows)}")
+    if top >= n:
+        # distinct labels >= 0, so 0..n+2 holds at least three missing ones
+        shown = [str(v) for v in range(min(top, n + 2) + 1) if v not in rows][:3]
+        more = ", ..." if top + 1 - n > len(shown) else ""
+        raise ValueError(
+            f"missing rows for {top + 1 - n} of vertices 0..{top}: {', '.join(shown)}{more}"
+        )
+    return tuple(rows[v] for v in range(n))
 
 
 def serialize_graph(g: Graph) -> str:

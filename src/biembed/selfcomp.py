@@ -16,11 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 
-from .embeddings import (
-    RotationSystem,
-    parse_rotation_file,
-    validate_rotation,
-)
+from .embeddings import RotationSystem, parse_rotation_file
 from .graphs import Graph, Permutation, is_antimorphism, make_graph
 from .verify import BiembeddingReport, verify_biembedding, with_stages
 
@@ -57,17 +53,6 @@ def standard_antimorphism(form: AntimorphismForm) -> Permutation:
     return Permutation(images)
 
 
-def _pair_orbit(sigma: Permutation, pair: tuple[int, int]) -> list[tuple[int, int]]:
-    orbit = [pair]
-    u, v = pair
-    while True:
-        u, v = sigma(u), sigma(v)
-        nxt = (min(u, v), max(u, v))
-        if nxt == pair:
-            return orbit
-        orbit.append(nxt)
-
-
 def build_from_seed(form: AntimorphismForm, seed: SeedNeighborhood) -> Graph:
     """The unique graph with the given vertex-0 neighborhood that σ maps
     onto its own complement.
@@ -100,7 +85,7 @@ def build_from_seed(form: AntimorphismForm, seed: SeedNeighborhood) -> Graph:
         if image in state:
             if state[image] == value:
                 raise ValueError(
-                    f"inconsistent seed: pair orbit {_pair_orbit(sigma, image)} "
+                    f"inconsistent seed: the orbit of pair {image} under σ "
                     "forces an edge to be both present and absent"
                 )
             continue
@@ -147,7 +132,7 @@ def verify_table(r: RotationSystem, form: AntimorphismForm) -> BiembeddingReport
     (connectivity, triangularity, edge partition, genus = lower bound).
     """
     sigma = standard_antimorphism(form)
-    rotation_ok = validate_rotation(r).ok
+    rotation_ok = r.certificate.valid
     anti_ok = r.graph.n == sigma.n and is_antimorphism(r.graph, sigma)
     second = relabel(r, sigma) if r.graph.n == sigma.n else r
     report = verify_biembedding(r, second, r.graph.n)

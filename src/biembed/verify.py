@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from math import isqrt
 
-from .embeddings import RotationSystem, trace_faces, validate_rotation
-from .graphs import is_connected
+from .embeddings import HalfStats, RotationSystem
 
 
 def bigenus_lower_bound(n: int) -> int:
@@ -46,16 +45,6 @@ def biembedding_edge_bound(v: int, g: int) -> int:
 
 
 @dataclass(frozen=True)
-class HalfStats:
-    edges: int
-    faces: int | None
-    genus: int | None
-    triangular: bool
-    connected: bool
-    isolated_vertices: int
-
-
-@dataclass(frozen=True)
 class BiembeddingReport:
     n: int
     residue_ok: bool
@@ -70,27 +59,6 @@ class BiembeddingReport:
         return all(ok for _, ok in self.stages)
 
 
-def _half_stats(r: RotationSystem, valid: bool) -> HalfStats:
-    g = r.graph
-    touched: set[int] = set()
-    for u, v in g.edges:
-        touched.add(u)
-        touched.add(v)
-    isolated = g.n - len(touched)
-    connected = is_connected(g)
-    faces: int | None = None
-    genus: int | None = None
-    triangular = False
-    if valid:
-        fs = trace_faces(r)
-        faces = fs.face_count
-        triangular = all(len(f) == 3 for f in fs.faces)
-        if connected:
-            chi = g.n - len(g.edges) + faces
-            genus = (2 - chi) // 2
-    return HalfStats(len(g.edges), faces, genus, triangular, connected, isolated)
-
-
 def verify_biembedding(r1: RotationSystem, r2: RotationSystem, n: int) -> BiembeddingReport:
     """Certify a candidate triangular biembedding of K_n.
 
@@ -103,17 +71,11 @@ def verify_biembedding(r1: RotationSystem, r2: RotationSystem, n: int) -> Biembe
         raise ValueError(
             f"rotation systems on {r1.graph.n} and {r2.graph.n} vertices, expected {n}"
         )
-    valid1 = validate_rotation(r1).ok
-    valid2 = validate_rotation(r2).ok
-
+    h1, h2 = r1.certificate, r2.certificate
+    # both edge sets hold only pairs u < v < n, so disjoint sets whose sizes
+    # add up to n(n-1)/2 cover every pair
     e1, e2 = r1.graph.edges, r2.graph.edges
-    all_pairs = frozenset((u, v) for u in range(n) for v in range(u + 1, n))
-    disjoint = not (e1 & e2)
-    covers = (e1 | e2) == all_pairs
-    partition_ok = disjoint and covers
-
-    h1 = _half_stats(r1, valid1)
-    h2 = _half_stats(r2, valid2)
+    partition_ok = e1.isdisjoint(e2) and len(e1) + len(e2) == n * (n - 1) // 2
 
     bound = bigenus_lower_bound(n)
     achieves = (
@@ -124,7 +86,7 @@ def verify_biembedding(r1: RotationSystem, r2: RotationSystem, n: int) -> Biembe
         and h2.genus == bound
     )
     stages = (
-        ("rotations valid", valid1 and valid2),
+        ("rotations valid", h1.valid and h2.valid),
         ("edge partition", partition_ok),
         ("halves connected", h1.connected and h2.connected),
         ("halves triangular", h1.triangular and h2.triangular),

@@ -137,6 +137,18 @@ def test_derive_rejects_invalid_current_graph(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("n 0\n0: (1,1)\n", "modulus must be at least 2, got 0"), ("n 7\n", "no vertex rows")],
+    ids=["zero-modulus", "header-only"],
+)
+def test_derive_rejects_degenerate_files(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.cur"
+    path.write_text(text)
+    assert main(["derive", "--current-graph", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "bounds.txt"
     assert main(["bounds", "--n", "16", "--out", str(target)]) == 0

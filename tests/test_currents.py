@@ -174,3 +174,9 @@ def test_current_graph_file_errors():
         parse_current_graph_file("n 7\n0: (1 1)\n1: (0,-1)")
     with pytest.raises(ValueError, match="zero"):
         parse_current_graph_file("n 7\n0: (1,7)\n1: (0,-7)")
+    with pytest.raises(ValueError, match="at least 2"):
+        parse_current_graph_file("n 1\n0: (1,1)\n1: (0,-1)")
+    with pytest.raises(ValueError, match="no vertex rows"):
+        parse_current_graph_file("n 7\n")
+    with pytest.raises(ValueError, match=r"missing rows for 999999999999 of vertices"):
+        parse_current_graph_file(f"n 7\n0: (1,1)\n{10**12}: (0,-1)\n")

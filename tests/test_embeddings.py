@@ -1,9 +1,12 @@
 import random
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
+import oracle
 from biembed.embeddings import (
+    RotationSystem,
     make_rotation_system,
     parse_rotation_file,
     serialize_rotation,
@@ -12,7 +15,7 @@ from biembed.embeddings import (
     is_triangular,
     validate_rotation,
 )
-from biembed.graphs import make_complete, make_graph
+from biembed.graphs import is_connected, make_complete, make_graph
 
 from oracle import canonical_face_set, oracle_faces, random_rotation_data
 
@@ -144,6 +147,14 @@ def test_rotation_file_errors():
         parse_rotation_file("0. 2\n2. 0\n")
     with pytest.raises(ValueError):
         parse_rotation_file("\n\n")
+    with pytest.raises(ValueError, match="negative"):
+        parse_rotation_file("0. 1\n1. 0\n-1.\n")
+
+
+def test_huge_row_label_costs_nothing():
+    # one stray label must not make the parser walk every label below it
+    with pytest.raises(ValueError, match=r"missing rows for 999999999998 of vertices .*: 2, 3, 4, \.\.\."):
+        parse_rotation_file(f"0. 1\n1. 0\n{10**12}.\n")
 
 
 def test_rotation_file_tolerates_whitespace():
@@ -157,3 +168,53 @@ def test_isolated_vertex_allowed_in_format():
     assert rs.graph.n == 3
     assert rs.rotation[2] == ()
     assert trace_faces(rs).face_count == 1
+
+
+def test_certificate_matches_oracle_on_random_systems():
+    rng = random.Random(20261017)
+    for _ in range(300):
+        n, edges, rows = random_rotation_data(rng)
+        rs = make_rotation_system(make_graph(n, edges), rows)
+        faces = oracle_faces({v: rows[v] for v in range(n)})
+        cert = rs.certificate
+        assert cert.valid
+        assert cert.faces == len(faces)
+        assert cert.triangular == all(len(f) == 3 for f in faces)
+        assert cert.connected == is_connected(rs.graph)
+        assert cert.isolated_vertices == sum(not row for row in rows)
+
+
+def test_certificate_validity_matches_validate_rotation():
+    # each mutation breaks "rows = adjacency" in a different way, or not at all
+    rng = random.Random(41)
+    checked = 0
+    for _ in range(300):
+        n, edges, rows = random_rotation_data(rng)
+        if not edges:
+            continue
+        g = make_graph(n, edges)
+        rows = [list(r) for r in rows]
+        v = rng.choice([v for v in range(n) if rows[v]])
+        kind = rng.randrange(5)
+        if kind == 0:
+            rows[v].pop()  # missing neighbor
+        elif kind == 1:
+            rows[v].append(rows[v][0])  # duplicate
+        elif kind == 2:
+            rows[v][0] = v  # self, and a missing neighbor
+        elif kind == 3:
+            rows[v].append(n)  # out of range
+        else:
+            rng.shuffle(rows[v])  # still valid
+        rs = RotationSystem(g, tuple(map(tuple, rows)))
+        assert rs.certificate.valid == validate_rotation(rs).ok
+        if not rs.certificate.valid:
+            assert rs.certificate.faces is None and not rs.certificate.triangular
+            with pytest.raises(ValueError, match="validate_rotation"):
+                trace_faces(rs)
+        checked += 1
+    assert checked > 200
+
+
+def test_oracle_shares_no_code_with_the_package():
+    assert "biembed" not in Path(oracle.__file__).read_text()

@@ -37,6 +37,16 @@ def test_circulant_full_difference_set_is_complete():
     assert make_circulant(d37) == make_complete(37)
 
 
+def test_circulant_matches_definition():
+    # every difference set for n < 14: i ~ i ± x mod n, x ∈ X
+    for n in range(1, 14):
+        top = (n - 1) // 2
+        for bits in range(1 << top):
+            x = frozenset(d for d in range(1, top + 1) if bits >> (d - 1) & 1)
+            want = make_graph(n, ((i, (i + d) % n) for i in range(n) for d in x))
+            assert make_circulant(DifferenceSet(n, x)) == want
+
+
 def test_circulant_gcd_disconnection():
     two_triangles = make_circulant(DifferenceSet(6, frozenset({2})))
     assert len(two_triangles.edges) == 6

@@ -1,9 +1,14 @@
+from collections import Counter
 from fractions import Fraction
+from importlib import resources
 from math import ceil
 
 import pytest
 
+from biembed import cli, currents, embeddings, family, graphs, selfcomp, verify
+from biembed.currents import derive_embedding
 from biembed.embeddings import RotationSystem, make_rotation_system
+from biembed.family import FamilyParameter, build_pair
 from biembed.graphs import make_graph
 from biembed.selfcomp import load_bundled_table, verify_table
 from biembed.verify import (
@@ -171,3 +176,83 @@ def test_with_stages_prepends():
     widened = with_stages(report, [("seed check", True)])
     assert widened.stages[0] == ("seed check", True)
     assert widened.stages[1:] == report.stages
+
+
+def s1_halves():
+    pair = build_pair(FamilyParameter(1))
+    return derive_embedding(pair.first), derive_embedding(pair.second)
+
+
+def mutated(kind: str) -> RotationSystem:
+    r1, _ = s1_halves()
+    rows = [list(row) for row in r1.rotation]
+    graph = r1.graph
+    if kind == "swap":
+        rows[0][0], rows[0][1] = rows[0][1], rows[0][0]
+    elif kind == "drop":
+        del rows[0][0]
+    else:  # cut vertex 0 off: valid rows of a disconnected graph
+        rows = [[w for w in row if w != 0] if v else [] for v, row in enumerate(rows)]
+        graph = make_graph(37, [e for e in graph.edges if 0 not in e])
+    return RotationSystem(graph, tuple(map(tuple, rows)))
+
+
+def fields(text: str) -> dict[str, str]:
+    return dict(line.split(": ", 1) for line in text.splitlines())
+
+
+# the report fields for half 1, the partition and the stages, as the
+# certifier printed them before it traced each half in a single pass
+MUTATION_FIELDS = {
+    "swap": ("333", "220", "39", "no", "yes", "0", "yes", "pass", "pass", "pass", "FAIL"),
+    "drop": ("333", "-", "-", "no", "yes", "0", "yes", "FAIL", "pass", "pass", "FAIL"),
+    "cut": ("315", "205", "-", "no", "no", "1", "no", "pass", "FAIL", "FAIL", "FAIL"),
+}
+FIELD_NAMES = (
+    "half 1 edges", "half 1 faces", "half 1 genus", "half 1 triangular", "half 1 connected",
+    "half 1 isolated vertices", "partition ok", "stage rotations valid", "stage edge partition",
+    "stage halves connected", "stage halves triangular",
+)
+
+
+@pytest.mark.parametrize("kind", sorted(MUTATION_FIELDS))
+def test_mutated_half_report(kind):
+    r1, r2 = s1_halves()
+    good = fields(render_report(verify_biembedding(r1, r2, 37)))
+    got = fields(render_report(verify_biembedding(mutated(kind), r2, 37)))
+    assert {k: got[k] for k in FIELD_NAMES} == dict(zip(FIELD_NAMES, MUTATION_FIELDS[kind]))
+    assert {k: v for k, v in got.items() if k.startswith("half 2")} == {
+        k: v for k, v in good.items() if k.startswith("half 2")}
+    assert got["achieves bound"] == "no" and got["result"] == "FAIL"
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Calls, by name, of every function that validates, traces or checks
+    connectivity, wherever a module of the package refers to it."""
+    calls: Counter = Counter()
+    names = ("certify_half", "_face_permutation", "validate_rotation", "trace_faces",
+             "is_connected", "spans_all")
+    for module in (cli, currents, embeddings, family, graphs, selfcomp, verify):
+        for name in names:
+            if hasattr(module, name):
+                fn = getattr(module, name)
+
+                def counting(*args, _fn=fn, _name=name):
+                    calls[_name] += 1
+                    return _fn(*args)
+
+                monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_family_verify_validates_and_traces_each_half_once(counted, capsys):
+    assert cli.main(["family", "verify", "--s", "2"]) == 0
+    assert counted == {"certify_half": 2, "_face_permutation": 2, "spans_all": 2}
+
+
+def test_verify_table_validates_and_traces_each_half_once(counted, tmp_path, capsys):
+    path = tmp_path / "table21.rot"
+    path.write_text(resources.files("biembed.data").joinpath("table21.rot").read_text())
+    assert cli.main(["verify-table", "--rotation", str(path)]) == 0
+    assert counted == {"certify_half": 2, "_face_permutation": 2, "spans_all": 2}
