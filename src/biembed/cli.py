@@ -18,6 +18,7 @@ from .currents import derive_embedding, parse_current_graph_file
 from .embeddings import parse_rotation_file, serialize_rotation
 from .graphs import parse_graph_file
 from .verify import (
+    BiembeddingReport,
     bichromatic_upper_bound,
     bigenus_lower_bound,
     render_report,
@@ -36,27 +37,31 @@ def _auto_form(n: int) -> str:
     return selfcomp.FULL_CYCLE if n % 2 == 0 else selfcomp.CYCLE_PLUS_FIXED_POINT
 
 
+def _emit_report(report: BiembeddingReport, out: str | None) -> int:
+    _emit(render_report(report), out)
+    return 0 if report.passed else 1
+
+
 def cmd_verify_table(path: str, form: str | None, out: str | None) -> int:
     rs = parse_rotation_file(Path(path).read_text())
     kind = form or _auto_form(rs.graph.n)
-    report = selfcomp.verify_table(rs, selfcomp.AntimorphismForm(kind, rs.graph.n))
-    _emit(render_report(report), out)
-    return 0 if report.passed else 1
+    return _emit_report(
+        selfcomp.verify_table(rs, selfcomp.AntimorphismForm(kind, rs.graph.n)), out
+    )
 
 
-def cmd_family(mode: str, s: int, budget: int, out: str | None) -> int:
+def cmd_family_verify(s: int, out: str | None) -> int:
     p = family.FamilyParameter(s)
-    if mode == "verify":
-        report = family.verify_pair(family.build_pair(p), p)
-    else:
-        x1, x2 = family.current_sets(p)
-        pair = family.search_pair(x1, x2, budget)
-        if pair is None:
-            print(f"no pair found within budget {budget}", file=sys.stderr)
-            return 1
-        report = family.verify_pair(pair, p)
-    _emit(render_report(report), out)
-    return 0 if report.passed else 1
+    return _emit_report(family.verify_pair(family.build_pair(p), p), out)
+
+
+def cmd_family_search(s: int, budget: int, out: str | None) -> int:
+    p = family.FamilyParameter(s)
+    pair = family.search_pair(*family.current_sets(p), budget)
+    if pair is None:
+        print(f"no pair found within budget {budget}", file=sys.stderr)
+        return 1
+    return _emit_report(family.verify_pair(pair, p), out)
 
 
 def cmd_bounds(n: int | None, g: int | None, out: str | None) -> int:
@@ -75,6 +80,13 @@ def cmd_bounds(n: int | None, g: int | None, out: str | None) -> int:
 
 def cmd_selfcomp_search(path: str, budget: int, out: str | None) -> int:
     g = parse_graph_file(Path(path).read_text())
+    # checked before any work per vertex, whose count the file alone sets
+    isolated = g.n - len({v for e in g.edges for v in e})
+    if isolated:
+        raise ValueError(
+            f"{isolated} of {g.n} vertices lie on no edge; "
+            "a triangulated surface has every vertex on a triangle"
+        )
     rs = selfcomp.search_triangular(g, budget)
     if rs is None:
         print(f"no triangular embedding found within budget {budget}", file=sys.stderr)
@@ -96,21 +108,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    forms = [selfcomp.FULL_CYCLE, selfcomp.CYCLE_PLUS_FIXED_POINT]
-
     vt = sub.add_parser("verify-table", help="verify a self-complementary rotation table")
     vt.add_argument("--rotation", required=True, help="rotation file path")
-    vt.add_argument("--form", choices=forms, default=None,
-                    help="antimorphism shape (default: by parity of n)")
+    vt.add_argument("--form", choices=[selfcomp.FULL_CYCLE, selfcomp.CYCLE_PLUS_FIXED_POINT],
+                    default=None, help="antimorphism shape (default: by parity of n)")
     vt.add_argument("--out", default=None)
 
     fam = sub.add_parser("family", help="the K_{24s+13} current-graph family")
     fam_sub = fam.add_subparsers(dest="mode", required=True)
-    for mode in ("verify", "search"):
-        fp = fam_sub.add_parser(mode)
+    fam_verify = fam_sub.add_parser("verify")
+    fam_search = fam_sub.add_parser("search")
+    for fp in (fam_verify, fam_search):
         fp.add_argument("--s", type=int, required=True)
-        fp.add_argument("--budget", type=int, default=10_000_000)
         fp.add_argument("--out", default=None)
+    fam_search.add_argument("--budget", type=int, default=10_000_000)
 
     b = sub.add_parser("bounds", help="bigenus and bichromatic bound formulas")
     b.add_argument("--n", type=int, default=None, help="order of the complete graph")
@@ -119,10 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sc = sub.add_parser("selfcomp", help="self-complementary graph tools")
     sc_sub = sc.add_subparsers(dest="mode", required=True)
-    scv = sc_sub.add_parser("verify")
-    scv.add_argument("--table", required=True, help="rotation file path")
-    scv.add_argument("--form", choices=forms, default=None)
-    scv.add_argument("--out", default=None)
     scs = sc_sub.add_parser("search")
     scs.add_argument("--graph", required=True, help="graph file path")
     scs.add_argument("--budget", type=int, default=200_000)
@@ -143,18 +150,18 @@ def main(argv: list[str] | None = None) -> int:
             if args.s < 1:
                 print("error: --s must be at least 1", file=sys.stderr)
                 return 2
+            if args.mode == "verify":
+                return cmd_family_verify(args.s, args.out)
             if args.budget < 1:
                 print("error: --budget must be positive", file=sys.stderr)
                 return 2
-            return cmd_family(args.mode, args.s, args.budget, args.out)
+            return cmd_family_search(args.s, args.budget, args.out)
         if args.command == "bounds":
             if args.n is None and args.g is None:
                 print("error: pass --n and/or --g", file=sys.stderr)
                 return 2
             return cmd_bounds(args.n, args.g, args.out)
         if args.command == "selfcomp":
-            if args.mode == "verify":
-                return cmd_verify_table(args.table, args.form, args.out)
             return cmd_selfcomp_search(args.graph, args.budget, args.out)
         if args.command == "derive":
             return cmd_derive(args.current_graph, args.out)

@@ -25,6 +25,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from .embeddings import RotationSystem
 from .graphs import (
@@ -54,7 +55,17 @@ class CurrentGraph:
                     raise ValueError(
                         f"current {c} at vertex {v} outside 1..{self.n - 1}"
                     )
-        _twin_map(self)  # raises if arcs do not pair up with negated reverses
+        self.faces  # raises if arcs do not pair up with negated reverses
+
+    @cached_property
+    def faces(self) -> list[list[Dart]]:
+        """The faces as darts, traced once, as frozen tuples cannot change."""
+        return _face_orbits(self)
+
+    @cached_property
+    def report(self) -> CurrentGraphReport:
+        """validate_current_graph(self), computed once."""
+        return validate_current_graph(self)
 
     @property
     def edge_count(self) -> int:
@@ -121,10 +132,9 @@ def validate_current_graph(cg: CurrentGraph) -> CurrentGraphReport:
         bad = [v for v, row in enumerate(cg.rows) if len(row) != 3]
         failures.append(f"vertices {bad} do not have degree 3")
 
-    faces = _face_orbits(cg)
-    one_face = len(faces) == 1
+    one_face = len(cg.faces) == 1
     if not one_face:
-        failures.append(f"embedding has {len(faces)} faces, expected 1")
+        failures.append(f"embedding has {len(cg.faces)} faces, expected 1")
 
     kirchhoff = True
     for v, row in enumerate(cg.rows):
@@ -153,10 +163,9 @@ def current_classes(cg: CurrentGraph) -> DifferenceSet:
 def circuit_log(cg: CurrentGraph) -> CircuitLog:
     """Currents read along the single face, starting from the arc with the
     least current."""
-    faces = _face_orbits(cg)
-    if len(faces) != 1:
-        raise ValueError(f"current graph embedding has {len(faces)} faces, expected 1")
-    orbit = faces[0]
+    if len(cg.faces) != 1:
+        raise ValueError(f"current graph embedding has {len(cg.faces)} faces, expected 1")
+    orbit = cg.faces[0]
     currents = [cg.rows[v][i][1] for v, i in orbit]
     k = currents.index(min(currents))
     log = currents[k:] + currents[:k]
@@ -171,10 +180,9 @@ def derive_embedding(cg: CurrentGraph) -> RotationSystem:
     that every face is a triangle, so a mis-transcribed current graph fails
     loudly instead of deriving garbage.
     """
-    report = validate_current_graph(cg)
-    if not report.ok:
+    if not cg.report.ok:
         raise ValueError(
-            "current graph fails validation: " + "; ".join(report.failures)
+            "current graph fails validation: " + "; ".join(cg.report.failures)
         )
     x = current_classes(cg)
     if not circulant_is_connected(x):

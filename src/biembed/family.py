@@ -19,8 +19,8 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .currents import CurrentGraph, current_classes, derive_embedding, validate_current_graph
-from .graphs import DifferenceSet
+from .currents import CurrentGraph, current_classes, derive_embedding
+from .graphs import Chains, DifferenceSet, backtrack
 from .verify import BiembeddingReport, verify_biembedding, with_stages
 
 _TEMPLATE_RESOURCE = "family_template.json"
@@ -176,10 +176,9 @@ def build_pair(p: FamilyParameter) -> CurrentPair:
     if current_classes(first) != x1 or current_classes(second) != x2:
         raise AssertionError("template pair does not carry the expected current sets")
     for cg in (first, second):
-        report = validate_current_graph(cg)
-        if not report.ok:
+        if not cg.report.ok:
             raise AssertionError(
-                "template current graph invalid: " + "; ".join(report.failures)
+                "template current graph invalid: " + "; ".join(cg.report.failures)
             )
     return pair
 
@@ -212,11 +211,12 @@ def search_pair(
 
     Explores one-face cubic current graphs for each current set in turn:
     vertices are oriented zero-sum triples of arc currents (Kirchhoff holds
-    by construction), and partial face chains are pruned the moment they
-    would close early, so any completed assignment has exactly one face.
-    Deterministic: candidates are tried in sorted order.  ``budget`` bounds
-    the number of search nodes spent on each half; exhaustion returns None,
-    which says nothing about existence.
+    by construction), and the face is grown as a ``graphs.Chains``, which
+    refuses any link that would close it early, so any completed assignment
+    has exactly one face.  The driver is ``graphs.backtrack``, shared with
+    ``selfcomp.search_triangular``.  Deterministic: candidates are tried in
+    sorted order.  ``budget`` bounds the number of search nodes spent on
+    each half; exhaustion returns None, which says nothing about existence.
     """
     if x1.n != x2.n:
         raise ValueError(f"moduli differ: {x1.n} vs {x2.n}")
@@ -242,95 +242,31 @@ def search_pair(
 
 def _search_half(x: DifferenceSet, budget: int) -> CurrentGraph | None:
     n = x.n
-    elements = sorted({d % n for d in x.x} | {(n - d) % n for d in x.x})
-    total = len(elements)
+    elements = sorted(x.x | {n - d for d in x.x})
+    after = {e: i + 1 for i, e in enumerate(elements)}
+    # the face takes a -> -b for each oriented triple (a, b, c), in one cycle
+    # through all elements; an element is placed once it has a successor
+    chains = Chains([0] * n, [len(elements)])
+    succ = chains.succ
 
-    # partial face permutation sigma (arcs a -> -b for oriented triples),
-    # kept as chains; start_of/end_of map a chain's endpoints to each other
-    nxt: dict[int, int] = {}
-    start_of: dict[int, int] = {}
-    end_of: dict[int, int] = {}
-    unassigned = set(elements)
-    triples: list[tuple[int, int, int]] = []
-    nodes = 0
+    def moves(a: int):
+        for b in elements[after[a]:]:
+            if succ[b] < 0:
+                c = (-a - b) % n
+                if c > b and c in after and succ[c] < 0:
+                    yield (a, n - b), (b, n - c), (c, n - a)
+                    yield (a, n - c), (c, n - b), (b, n - a)
 
-    def add_arc(u: int, v: int, undo: list) -> bool:
-        # u has no outgoing arc yet, v no incoming; chains stay acyclic
-        # unless this is the very last arc
-        s = start_of.get(u, u)
-        e = end_of.get(v, v)
-        if s == v and len(nxt) + 1 < total:
-            return False
-        undo.append((u, v, s, e))
-        nxt[u] = v
-        start_of[e] = s
-        end_of[s] = e
-        return True
-
-    def remove_arcs(undo: list) -> None:
-        for u, v, s, e in reversed(undo):
-            del nxt[u]
-            if start_of.get(e) == s:
-                del start_of[e]
-            if end_of.get(s) == e:
-                del end_of[s]
-            if u != s:
-                start_of[u] = s
-                end_of[s] = u
-            if v != e:
-                start_of[e] = v
-                end_of[v] = e
-
-    def place(a: int, b: int, c: int) -> bool:
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            return False
-        undo: list = []
-        for u, v in ((a, (n - b) % n), (b, (n - c) % n), (c, (n - a) % n)):
-            if not add_arc(u, v, undo):
-                remove_arcs(undo)
-                return False
-        triples.append((a, b, c))
-        for e in (a, b, c):
-            unassigned.discard(e)
-        if dfs():
-            return True
-        triples.pop()
-        for e in (a, b, c):
-            unassigned.add(e)
-        remove_arcs(undo)
-        return False
-
-    def dfs() -> bool:
-        if nodes > budget:
-            return False
-        if not unassigned:
-            return True
-        a = min(unassigned)
-        rest = sorted(unassigned - {a})
-        for b in rest:
-            c = (-a - b) % n
-            if c <= b or c not in unassigned:
-                continue
-            if place(a, b, c) or place(a, c, b):
-                return True
-            if nodes > budget:
-                return False
-        return False
-
-    if not dfs():
+    made = backtrack(chains, elements, moves, budget)
+    if made is None:
         return None
-
-    where = {}
-    for idx, (a, b, c) in enumerate(triples):
-        for e in (a, b, c):
-            where[e] = idx
-    rows = tuple(
-        tuple((where[(n - e) % n], (n - e) % n) for e in t) for t in triples
-    )
+    # vertex i is the i-th triple (a, b, c), linked in that order; its arcs
+    # carry -a, -b, -c
+    where = {u: i for i, move in enumerate(made) for u, _ in move}
+    rows = tuple(tuple((where[n - u], n - u) for u, _ in move) for move in made)
     cg = CurrentGraph(n, rows)
-    report = validate_current_graph(cg)
-    if not report.ok:
-        raise AssertionError("search produced an invalid current graph: " + "; ".join(report.failures))
+    if not cg.report.ok:
+        raise AssertionError(
+            "search produced an invalid current graph: " + "; ".join(cg.report.failures)
+        )
     return cg

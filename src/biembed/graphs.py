@@ -31,9 +31,6 @@ class Graph:
                 out.add(a)
         return out
 
-    def degree(self, v: int) -> int:
-        return sum(1 for a, b in self.edges if v in (a, b))
-
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
 
@@ -164,6 +161,95 @@ def cycles(phi: list[int], starts):
             orbit.append(d)
             d = phi[d]
         yield orbit
+
+
+class Chains:
+    """A partial permutation on the items 0..len(group)-1, grown one link at
+    a time and undone last link first.
+
+    Item i lies in group ``group[i]``, and group g has ``size[g]`` items.  A
+    link that would close a cycle is refused unless the cycle holds all
+    items of its group, so a group is paths until it is one full cycle.
+    ``succ``/``pred`` are -1 where unset; at each end of a path, ``end``
+    holds the item at its other end.
+    """
+
+    def __init__(self, group: list[int], size: list[int]) -> None:
+        self.succ = [-1] * len(group)
+        self.pred = [-1] * len(group)
+        self.end = list(range(len(group)))
+        self.group = group
+        self.free = list(size)  # links each group can still take
+        self.log: list[tuple[int, int, int, int]] = []
+
+    def link(self, a: int, b: int) -> bool:
+        """Make b the successor of a; False, changing nothing, if a already
+        has a successor, b a predecessor, or the link closes a cycle that
+        leaves out part of the group."""
+        if self.succ[a] >= 0 or self.pred[b] >= 0:
+            return False
+        end = self.end
+        s, e = end[a], end[b]  # the start of a's path, the end of b's
+        if s == b and self.free[self.group[a]] > 1:
+            return False
+        self.succ[a] = b
+        self.pred[b] = a
+        end[s] = e
+        end[e] = s
+        self.free[self.group[a]] -= 1
+        self.log.append((a, b, s, e))
+        return True
+
+    def unlink(self) -> None:
+        """Undo the latest link that is still in place."""
+        a, b, s, e = self.log.pop()
+        self.succ[a] = self.pred[b] = -1
+        self.end[s] = a
+        self.end[e] = b
+        self.free[self.group[a]] += 1
+
+
+def backtrack(chains: Chains, order: list[int], moves, budget: int):
+    """Depth-first search for a full set of links, without recursion.
+
+    The target is the first item of ``order`` without a successor; each of
+    ``moves(target)``, a sequence of (a, b) links, is tried in turn and
+    applied all or none.  Every move tried costs one node.  Returns the moves
+    made, in order, once every item of ``order`` has a successor; None when
+    the search is exhausted or would spend more than ``budget`` nodes.
+    """
+    succ, log, link, unlink = chains.succ, chains.log, chains.link, chains.unlink
+    made: list = []
+    frames: list = []  # (untried moves, target position) below each move made
+    nodes = pos = 0
+    while True:
+        while pos < len(order) and succ[order[pos]] >= 0:
+            pos += 1
+        if pos == len(order):
+            return made
+        tries = iter(moves(order[pos]))
+        while True:
+            move = next(tries, None)
+            if move is None:
+                if not made:
+                    return None
+                tries, pos = frames.pop()
+                for _ in made.pop():
+                    unlink()
+                continue
+            nodes += 1
+            if nodes > budget:
+                return None
+            mark = len(log)
+            for a, b in move:
+                if not link(a, b):
+                    while len(log) > mark:
+                        unlink()
+                    break
+            else:
+                break
+        frames.append((tries, pos))
+        made.append(move)
 
 
 def identity_permutation(n: int) -> Permutation:

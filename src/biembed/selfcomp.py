@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .embeddings import RotationSystem, parse_rotation_file
-from .graphs import Graph, Permutation, is_antimorphism, make_graph
+from .graphs import Chains, Graph, Permutation, backtrack, cycles, is_antimorphism, make_graph
 from .verify import BiembeddingReport, verify_biembedding, with_stages
 
 FULL_CYCLE = "full-cycle"
@@ -146,8 +146,10 @@ def search_triangular(g: Graph, budget: int = 200_000) -> RotationSystem | None:
     """Backtracking search for a triangular embedding of g.
 
     Faces are grown as oriented triangles; each placement fixes three
-    rotation corners, and a corner chain at a vertex may only close into a
-    cycle once it uses the full degree.  Arcs are attacked in a fixed order
+    rotation corners.  The rotation is a ``graphs.Chains`` on the darts,
+    grouped by vertex, so a corner chain at a vertex may only close into a
+    cycle once it uses the full degree.  The driver is ``graphs.backtrack``,
+    shared with ``family.search_pair``.  Arcs are attacked in a fixed order
     (vertices sorted by descending degree), so runs are deterministic.
     Returns None when the node budget runs out — that is not a proof of
     nonexistence.  Raises immediately when 2|E| is not divisible by 3,
@@ -162,86 +164,41 @@ def search_triangular(g: Graph, budget: int = 200_000) -> RotationSystem | None:
     if not g.edges:
         return RotationSystem(g, tuple(() for _ in range(g.n)))
 
-    rank = {
-        v: i
-        for i, v in enumerate(sorted(range(g.n), key=lambda v: (-g.degree(v), v)))
-    }
-    adj = {v: sorted(g.neighbors(v), key=lambda w: (rank[w], w)) for v in range(g.n)}
-    deg = {v: g.degree(v) for v in range(g.n)}
+    nbrs: list[set[int]] = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
 
-    arcs = [(u, v) for u, v in g.edges] + [(v, u) for u, v in g.edges]
-    arcs.sort(key=lambda a: (rank[a[0]], rank[a[1]]))
+    by_rank = sorted(range(g.n), key=lambda v: (-len(nbrs[v]), v))
+    rank = {v: i for i, v in enumerate(by_rank)}
+    adj = [sorted(nbrs[v], key=rank.__getitem__) for v in range(g.n)]
 
-    succ: dict[int, dict[int, int]] = {v: {} for v in range(g.n)}
-    pred: dict[int, dict[int, int]] = {v: {} for v in range(g.n)}
-    nodes = 0
+    # the darts v -> w, numbered by v and then in adj[v] order
+    owner = [v for v, row in enumerate(adj) for _ in row]
+    head = [w for row in adj for w in row]
+    dart: list[dict[int, int]] = [{} for _ in adj]
+    for d, v in enumerate(owner):
+        dart[v][head[d]] = d
+    chains = Chains(owner, [len(row) for row in adj])
 
-    def covered(u: int, v: int) -> bool:
-        return u in succ[v]
+    def moves(d: int):
+        # d is v -> u, with no rotation successor yet: close a face u -> v -> w
+        v, u = owner[d], head[d]
+        at_u, at_v = dart[u], dart[v]
+        return [
+            ((d, at_v[w]), (dart[w][v], dart[w][u]), (at_u[w], at_u[v]))
+            for w in adj[v]
+            if w != u and w in nbrs[u]
+        ]
 
-    def closes_early(v: int, u: int, w: int) -> bool:
-        # would corner u->w at v finish a rotation cycle prematurely?
-        length = 1
-        x = w
-        while x in succ[v]:
-            x = succ[v][x]
-            length += 1
-        return x == u and length < deg[v]
-
-    def place(u: int, v: int, w: int) -> bool:
-        corners = ((v, u, w), (w, v, u), (u, w, v))
-        for vert, a, b in corners:
-            if a in succ[vert] or b in pred[vert] or closes_early(vert, a, b):
-                return False
-        for vert, a, b in corners:
-            succ[vert][a] = b
-            pred[vert][b] = a
-        return True
-
-    def unplace(u: int, v: int, w: int) -> None:
-        for vert, a, b in ((v, u, w), (w, v, u), (u, w, v)):
-            del succ[vert][a]
-            del pred[vert][b]
-
-    def dfs() -> bool:
-        nonlocal nodes
-        target = None
-        for a in arcs:
-            if not covered(*a):
-                target = a
-                break
-        if target is None:
-            return True
-        u, v = target
-        for w in adj[v]:
-            if w == u or not g.has_edge(w, u):
-                continue
-            nodes += 1
-            if nodes > budget:
-                return False
-            if place(u, v, w):
-                if dfs():
-                    return True
-                unplace(u, v, w)
-            if nodes > budget:
-                return False
-        return False
-
-    if not dfs():
+    # arcs (u, v) by rank of u, then of v; arc (u, v) is covered once the
+    # dart v -> u has a successor at v
+    order = [dart[v][u] for u in by_rank for v in adj[u]]
+    if backtrack(chains, order, moves, budget) is None:
         return None
-
-    rows = []
-    for v in range(g.n):
-        start = adj[v][0] if adj[v] else None
-        row: list[int] = []
-        if start is not None:
-            x = start
-            while True:
-                row.append(x)
-                x = succ[v][x]
-                if x == start:
-                    break
-        rows.append(tuple(row))
+    rows = [()] * g.n
+    for orbit in cycles(chains.succ, range(len(owner))):
+        rows[owner[orbit[0]]] = tuple(head[d] for d in orbit)
     return RotationSystem(g, tuple(rows))
 
 

@@ -95,9 +95,14 @@ def test_bounds_rejects_tiny_n(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_selfcomp_verify_is_verify_table(table16, capsys):
-    assert main(["selfcomp", "verify", "--table", table16]) == 0
-    assert "result: PASS" in capsys.readouterr().out
+def test_removed_spellings_are_usage_errors(table16, capsys):
+    # `selfcomp verify` was a second spelling of verify-table, and
+    # `family verify` never used a budget
+    for argv in (["selfcomp", "verify", "--table", table16],
+                 ["family", "verify", "--s", "1", "--budget", "5"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_selfcomp_search_k4(tmp_path, capsys):
@@ -113,6 +118,16 @@ def test_selfcomp_search_impossible_arc_count(tmp_path, capsys):
     path.write_text(serialize_graph(make_complete(5)))
     assert main(["selfcomp", "search", "--graph", str(path)]) == 2
     assert "divisible by 3" in capsys.readouterr().err
+
+
+def test_selfcomp_search_rejects_vertices_on_no_edge(tmp_path, capsys):
+    path = tmp_path / "huge.graph"
+    path.write_text("1000000000\n")
+    assert main(["selfcomp", "search", "--graph", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: 1000000000 of 1000000000 vertices lie on no edge; "
+        "a triangulated surface has every vertex on a triangle\n"
+    )
 
 
 def test_selfcomp_search_budget_exhausted(tmp_path, capsys):

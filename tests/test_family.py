@@ -112,3 +112,19 @@ def test_missing_template_reports_search_fallback(monkeypatch):
     monkeypatch.setattr(family, "_TEMPLATE_RESOURCE", "no_such_template.json")
     with pytest.raises(RuntimeError, match="search"):
         build_pair(FamilyParameter(1))
+
+
+def test_search_pair_deep_search_does_not_recurse():
+    # 802 triples per half: a search that recursed once per placement
+    # overflowed the interpreter stack here
+    assert search_pair(*current_sets(FamilyParameter(200)), budget=1500) is None
+
+
+def test_search_pair_least_budget_is_pinned():
+    # node-for-node semantics: a change to candidate order or node counting
+    # moves this threshold
+    p = FamilyParameter(2)
+    assert search_pair(*current_sets(p), budget=22_712) is None
+    pair = search_pair(*current_sets(p), budget=22_713)
+    assert pair is not None
+    assert verify_pair(pair, p).passed

@@ -3,9 +3,11 @@ import random
 import pytest
 
 from biembed.graphs import (
+    Chains,
     DifferenceSet,
     Permutation,
     apply_permutation,
+    backtrack,
     circulant_is_connected,
     complement,
     identity_permutation,
@@ -152,3 +154,43 @@ def test_graph_file_errors():
         parse_graph_file("3\n0 1 2")
     with pytest.raises(ValueError):
         parse_graph_file("abc\n0 1")
+
+
+def test_chains_refuse_early_closure_and_unlink_exactly():
+    chains = Chains([0, 0, 0, 0, 1], [4, 1])
+
+    def state():
+        return chains.succ[:], chains.pred[:], chains.end[:], chains.free[:]
+
+    states = [state()]
+    for a, b in ((1, 2), (0, 1), (2, 3)):
+        assert chains.link(a, b)
+        states.append(state())
+    # one path 0 -> 1 -> 2 -> 3, whose two ends name each other
+    assert chains.end[0] == 3 and chains.end[3] == 0
+    assert not chains.link(3, 1)  # 1 already has a predecessor
+    assert not chains.link(1, 0)  # 1 already has a successor
+    chains.unlink()
+    assert not chains.link(2, 0)  # a 3-cycle in a group of 4 closes early
+    assert state() == states[2]
+    assert chains.link(2, 3) and chains.link(3, 0)  # the full 4-cycle closes
+    assert chains.succ[:4] == [1, 2, 3, 0]
+    full = state()
+    assert chains.link(4, 4)  # and so does a group of one
+    chains.unlink()
+    assert state() == full
+    for expected in reversed(states):
+        chains.unlink()
+        assert state() == expected
+    assert not chains.log
+
+
+def test_backtrack_counts_every_move_tried():
+    # one group of three; each item may point at any item
+    def run(budget):
+        chains = Chains([0, 0, 0], [3])
+        return backtrack(chains, [0, 1, 2], lambda t: [((t, x),) for x in range(3)], budget)
+
+    # nodes: 0->0 refused, 0->1, 1->0 refused, 1->1 refused, 1->2, 2->0
+    assert run(5) is None
+    assert run(6) == [((0, 1),), ((1, 2),), ((2, 0),)]

@@ -151,6 +151,34 @@ def test_search_edgeless_graph():
     assert rs.rotation == ((), (), ())
 
 
+def test_search_triangular_k7_least_budget_and_rotation_are_pinned():
+    # node-for-node semantics: a change to candidate order or node counting
+    # moves the threshold or the rotation found
+    assert search_triangular(make_complete(7), budget=45) is None
+    rs = search_triangular(make_complete(7), budget=46)
+    assert rs.rotation == (
+        (1, 6, 5, 4, 3, 2), (0, 2, 4, 5, 3, 6), (0, 3, 5, 6, 4, 1), (0, 4, 6, 1, 5, 2),
+        (0, 5, 1, 2, 6, 3), (0, 6, 2, 3, 1, 4), (0, 1, 3, 4, 2, 5),
+    )
+
+
+def test_search_triangular_large_torus_does_not_recurse():
+    # the 30 x 30 grid with one diagonal per square, on 900 vertices: a
+    # search that recursed once per placement overflowed the interpreter stack
+    side = 30
+
+    def vertex(i, j):
+        return (i % side) * side + j % side
+
+    g = make_graph(side * side, [
+        (vertex(i, j), vertex(i + di, j + dj))
+        for i in range(side) for j in range(side) for di, dj in ((1, 0), (0, 1), (1, 1))
+    ])
+    rs = search_triangular(g)
+    assert rs is not None
+    assert rs.certificate.triangular and rs.certificate.genus == 1
+
+
 def test_load_bundled_table_unknown():
     with pytest.raises(ValueError, match="no bundled table"):
         load_bundled_table(13)

@@ -226,13 +226,10 @@ def test_mutated_half_report(kind):
     assert got["achieves bound"] == "no" and got["result"] == "FAIL"
 
 
-@pytest.fixture
-def counted(monkeypatch):
-    """Calls, by name, of every function that validates, traces or checks
-    connectivity, wherever a module of the package refers to it."""
+def count_calls(monkeypatch, names) -> Counter:
+    """Calls, by name, of the named functions, wherever a module of the
+    package refers to them."""
     calls: Counter = Counter()
-    names = ("certify_half", "_face_permutation", "validate_rotation", "trace_faces",
-             "is_connected", "spans_all")
     for module in (cli, currents, embeddings, family, graphs, selfcomp, verify):
         for name in names:
             if hasattr(module, name):
@@ -246,6 +243,13 @@ def counted(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def counted(monkeypatch):
+    """Calls of every function that validates, traces or checks connectivity."""
+    return count_calls(monkeypatch, ("certify_half", "_face_permutation", "validate_rotation",
+                                     "trace_faces", "is_connected", "spans_all"))
+
+
 def test_family_verify_validates_and_traces_each_half_once(counted, capsys):
     assert cli.main(["family", "verify", "--s", "2"]) == 0
     assert counted == {"certify_half": 2, "_face_permutation": 2, "spans_all": 2}
@@ -256,3 +260,9 @@ def test_verify_table_validates_and_traces_each_half_once(counted, tmp_path, cap
     path.write_text(resources.files("biembed.data").joinpath("table21.rot").read_text())
     assert cli.main(["verify-table", "--rotation", str(path)]) == 0
     assert counted == {"certify_half": 2, "_face_permutation": 2, "spans_all": 2}
+
+
+def test_family_verify_validates_and_traces_each_current_graph_once(monkeypatch, capsys):
+    calls = count_calls(monkeypatch, ("validate_current_graph", "_face_orbits", "_twin_map"))
+    assert cli.main(["family", "verify", "--s", "2"]) == 0
+    assert calls == {"validate_current_graph": 2, "_face_orbits": 2, "_twin_map": 2}
