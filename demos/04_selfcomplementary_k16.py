@@ -24,7 +24,7 @@ sigma = standard_antimorphism(form)
 
 # The whole 60-edge graph is forced by the neighborhood of vertex 0:
 # membership alternates around every orbit of vertex pairs under sigma.
-seed = SeedNeighborhood(frozenset(rs.graph.neighbors(0)))
+seed = SeedNeighborhood(frozenset(rs.rotation[0]))
 print("seed neighborhood of 0:", sorted(seed.neighbors))
 rebuilt = build_from_seed(form, seed)
 print("seed rebuilds the table graph:", rebuilt == rs.graph)

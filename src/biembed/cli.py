@@ -32,39 +32,37 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
-def _auto_form(n: int) -> str:
-    # the full cycle exists only for even n; odd orders park a fixed point
-    return selfcomp.FULL_CYCLE if n % 2 == 0 else selfcomp.CYCLE_PLUS_FIXED_POINT
-
-
 def _emit_report(report: BiembeddingReport, out: str | None) -> int:
     _emit(render_report(report), out)
     return 0 if report.passed else 1
 
 
-def cmd_verify_table(path: str, form: str | None, out: str | None) -> int:
-    rs = parse_rotation_file(Path(path).read_text())
-    kind = form or _auto_form(rs.graph.n)
-    return _emit_report(
-        selfcomp.verify_table(rs, selfcomp.AntimorphismForm(kind, rs.graph.n)), out
-    )
+def cmd_verify_table(args) -> int:
+    rs = parse_rotation_file(Path(args.rotation).read_text())
+    n = rs.graph.n
+    # the full cycle exists only for even n; odd orders park a fixed point
+    kind = args.form or (selfcomp.FULL_CYCLE if n % 2 == 0 else selfcomp.CYCLE_PLUS_FIXED_POINT)
+    return _emit_report(selfcomp.verify_table(rs, selfcomp.AntimorphismForm(kind, n)), args.out)
 
 
-def cmd_family_verify(s: int, out: str | None) -> int:
-    p = family.FamilyParameter(s)
-    return _emit_report(family.verify_pair(family.build_pair(p), p), out)
+def cmd_family_verify(args) -> int:
+    p = family.FamilyParameter(args.s)
+    return _emit_report(family.verify_pair(family.build_pair(p), p), args.out)
 
 
-def cmd_family_search(s: int, budget: int, out: str | None) -> int:
-    p = family.FamilyParameter(s)
-    pair = family.search_pair(*family.current_sets(p), budget)
+def cmd_family_search(args) -> int:
+    p = family.FamilyParameter(args.s)
+    pair = family.search_pair(*family.current_sets(p), args.budget)
     if pair is None:
-        print(f"no pair found within budget {budget}", file=sys.stderr)
+        print(f"no pair found within budget {args.budget}", file=sys.stderr)
         return 1
-    return _emit_report(family.verify_pair(pair, p), out)
+    return _emit_report(family.verify_pair(pair, p), args.out)
 
 
-def cmd_bounds(n: int | None, g: int | None, out: str | None) -> int:
+def cmd_bounds(args) -> int:
+    n, g = args.n, args.g
+    if n is None and g is None:
+        raise ValueError("pass --n and/or --g")
     lines = []
     if n is not None:
         lines.append(f"n: {n}")
@@ -74,12 +72,12 @@ def cmd_bounds(n: int | None, g: int | None, out: str | None) -> int:
     if g is not None:
         lines.append(f"g: {g}")
         lines.append(f"bichromatic upper bound: {bichromatic_upper_bound(g)}")
-    _emit("\n".join(lines) + "\n", out)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
-def cmd_selfcomp_search(path: str, budget: int, out: str | None) -> int:
-    g = parse_graph_file(Path(path).read_text())
+def cmd_selfcomp_search(args) -> int:
+    g = parse_graph_file(Path(args.graph).read_text())
     # checked before any work per vertex, whose count the file alone sets
     isolated = g.n - len({v for e in g.edges for v in e})
     if isolated:
@@ -87,17 +85,17 @@ def cmd_selfcomp_search(path: str, budget: int, out: str | None) -> int:
             f"{isolated} of {g.n} vertices lie on no edge; "
             "a triangulated surface has every vertex on a triangle"
         )
-    rs = selfcomp.search_triangular(g, budget)
+    rs = selfcomp.search_triangular(g, args.budget)
     if rs is None:
-        print(f"no triangular embedding found within budget {budget}", file=sys.stderr)
+        print(f"no triangular embedding found within budget {args.budget}", file=sys.stderr)
         return 1
-    _emit(serialize_rotation(rs), out)
+    _emit(serialize_rotation(rs), args.out)
     return 0
 
 
-def cmd_derive(path: str, out: str | None) -> int:
-    rs = derive_embedding(parse_current_graph_file(Path(path).read_text()))
-    _emit(serialize_rotation(rs), out)
+def cmd_derive(args) -> int:
+    rs = derive_embedding(parse_current_graph_file(Path(args.current_graph).read_text()))
+    _emit(serialize_rotation(rs), args.out)
     return 0
 
 
@@ -112,7 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     vt.add_argument("--rotation", required=True, help="rotation file path")
     vt.add_argument("--form", choices=[selfcomp.FULL_CYCLE, selfcomp.CYCLE_PLUS_FIXED_POINT],
                     default=None, help="antimorphism shape (default: by parity of n)")
-    vt.add_argument("--out", default=None)
 
     fam = sub.add_parser("family", help="the K_{24s+13} current-graph family")
     fam_sub = fam.add_subparsers(dest="mode", required=True)
@@ -120,55 +117,40 @@ def build_parser() -> argparse.ArgumentParser:
     fam_search = fam_sub.add_parser("search")
     for fp in (fam_verify, fam_search):
         fp.add_argument("--s", type=int, required=True)
-        fp.add_argument("--out", default=None)
-    fam_search.add_argument("--budget", type=int, default=10_000_000)
 
     b = sub.add_parser("bounds", help="bigenus and bichromatic bound formulas")
     b.add_argument("--n", type=int, default=None, help="order of the complete graph")
     b.add_argument("--g", type=int, default=None, help="genus of the surface")
-    b.add_argument("--out", default=None)
 
     sc = sub.add_parser("selfcomp", help="self-complementary graph tools")
     sc_sub = sc.add_subparsers(dest="mode", required=True)
     scs = sc_sub.add_parser("search")
     scs.add_argument("--graph", required=True, help="graph file path")
     scs.add_argument("--budget", type=int, default=200_000)
-    scs.add_argument("--out", default=None)
 
     d = sub.add_parser("derive", help="derived embedding of a current graph")
     d.add_argument("--current-graph", required=True, dest="current_graph")
-    d.add_argument("--out", default=None)
+
+    for leaf, run in ((vt, cmd_verify_table), (fam_verify, cmd_family_verify),
+                      (fam_search, cmd_family_search), (b, cmd_bounds),
+                      (scs, cmd_selfcomp_search), (d, cmd_derive)):
+        leaf.add_argument("--out", default=None)
+        leaf.set_defaults(run=run)
+    # listed after --out, as `family search -h` always has
+    fam_search.add_argument("--budget", type=int, default=10_000_000)
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        if args.command == "verify-table":
-            return cmd_verify_table(args.rotation, args.form, args.out)
-        if args.command == "family":
-            if args.s < 1:
-                print("error: --s must be at least 1", file=sys.stderr)
-                return 2
-            if args.mode == "verify":
-                return cmd_family_verify(args.s, args.out)
-            if args.budget < 1:
-                print("error: --budget must be positive", file=sys.stderr)
-                return 2
-            return cmd_family_search(args.s, args.budget, args.out)
-        if args.command == "bounds":
-            if args.n is None and args.g is None:
-                print("error: pass --n and/or --g", file=sys.stderr)
-                return 2
-            return cmd_bounds(args.n, args.g, args.out)
-        if args.command == "selfcomp":
-            return cmd_selfcomp_search(args.graph, args.budget, args.out)
-        if args.command == "derive":
-            return cmd_derive(args.current_graph, args.out)
+        return args.run(args)
     except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 def run() -> None:

@@ -22,15 +22,6 @@ class Graph:
             if not (0 <= u < v < self.n):
                 raise ValueError(f"bad edge ({u}, {v}) for n={self.n}")
 
-    def neighbors(self, v: int) -> set[int]:
-        out: set[int] = set()
-        for a, b in self.edges:
-            if a == v:
-                out.add(b)
-            elif b == v:
-                out.add(a)
-        return out
-
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
 
@@ -216,8 +207,11 @@ def backtrack(chains: Chains, order: list[int], moves, budget: int):
     ``moves(target)``, a sequence of (a, b) links, is tried in turn and
     applied all or none.  Every move tried costs one node.  Returns the moves
     made, in order, once every item of ``order`` has a successor; None when
-    the search is exhausted or would spend more than ``budget`` nodes.
+    the search is exhausted or would spend more than ``budget`` nodes;
+    raises ValueError unless ``budget`` is positive.
     """
+    if budget < 1:
+        raise ValueError(f"budget must be positive, got {budget}")
     succ, log, link, unlink = chains.succ, chains.log, chains.link, chains.unlink
     made: list = []
     frames: list = []  # (untried moves, target position) below each move made

@@ -70,7 +70,12 @@ def test_family_search_budget_exhausted(capsys):
 
 def test_family_usage_errors(capsys):
     assert main(["family", "verify", "--s", "0"]) == 2
+    assert capsys.readouterr().err == (
+        "error: family parameter s must be at least 1, got 0 "
+        "(K_13 is known but below the template range)\n"
+    )
     assert main(["family", "search", "--s", "1", "--budget", "0"]) == 2
+    assert capsys.readouterr().err == "error: budget must be positive, got 0\n"
 
 
 def test_bounds_n(capsys):
@@ -135,6 +140,16 @@ def test_selfcomp_search_budget_exhausted(tmp_path, capsys):
     path.write_text(serialize_graph(make_complete(7)))
     assert main(["selfcomp", "search", "--graph", str(path), "--budget", "5"]) == 1
     assert "no triangular embedding" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_selfcomp_search_rejects_non_positive_budget(tmp_path, capsys, budget):
+    path = tmp_path / "k4.graph"
+    path.write_text(serialize_graph(make_complete(4)))
+    assert main(["selfcomp", "search", "--graph", str(path), "--budget", budget]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: budget must be positive, got {budget}\n"
 
 
 def test_derive_outputs_rotation(theta_file, capsys):

@@ -82,6 +82,12 @@ def test_search_pair_budget_exhaustion_returns_none():
     assert search_pair(*current_sets(FamilyParameter(1)), budget=1) is None
 
 
+@pytest.mark.parametrize("budget", [0, -5])
+def test_search_pair_rejects_non_positive_budget(budget):
+    with pytest.raises(ValueError, match=f"budget must be positive, got {budget}"):
+        search_pair(*current_sets(FamilyParameter(1)), budget)
+
+
 def test_search_pair_preconditions():
     with pytest.raises(ValueError, match="moduli"):
         search_pair(DifferenceSet(37, frozenset({1})), DifferenceSet(61, frozenset({1})))

@@ -2,10 +2,18 @@ from collections import Counter
 
 import pytest
 
-from biembed.embeddings import is_triangular, surface_stats, trace_faces, validate_rotation
+from biembed.embeddings import (
+    RotationSystem,
+    is_triangular,
+    surface_stats,
+    trace_faces,
+    validate_rotation,
+)
 from biembed.graphs import (
     Permutation,
+    apply_permutation,
     identity_permutation,
+    is_antimorphism,
     make_complete,
     make_graph,
 )
@@ -43,7 +51,7 @@ def test_form_validation():
 @pytest.mark.parametrize("n", [16, 21, 24])
 def test_build_from_seed_recovers_bundled_graphs(n):
     rs, form = load_bundled_table(n)
-    seed = SeedNeighborhood(frozenset(rs.graph.neighbors(0)))
+    seed = SeedNeighborhood(frozenset(rs.rotation[0]))
     assert build_from_seed(form, seed) == rs.graph
     assert len(rs.graph.edges) == n * (n - 1) // 4
 
@@ -120,6 +128,53 @@ def test_verify_table_wrong_form_fails():
     assert ("self-complementary under σ", False) in report.stages
 
 
+def _antimorphism_stage(rs, form):
+    return dict(verify_table(rs, form).stages)["self-complementary under σ"]
+
+
+@pytest.mark.parametrize("n", [16, 21, 24])
+@pytest.mark.parametrize("kind", [FULL_CYCLE, CYCLE_PLUS_FIXED_POINT])
+def test_antimorphism_stage_agrees_with_is_antimorphism_on_tables(n, kind):
+    rs, _ = load_bundled_table(n)
+    form = AntimorphismForm(kind, n)
+    expected = is_antimorphism(rs.graph, standard_antimorphism(form))
+    assert _antimorphism_stage(rs, form) == expected
+
+
+@pytest.mark.parametrize("form", [AntimorphismForm(FULL_CYCLE, 8),
+                                  AntimorphismForm(CYCLE_PLUS_FIXED_POINT, 9)])
+def test_antimorphism_stage_agrees_with_is_antimorphism_on_seeded_graphs(form):
+    # the stage reads the edge partition of the doubled embedding; relabelling
+    # a graph by the swap of vertices i and j tests it under σ with the images
+    # of i and j swapped, which stays an antimorphism for half the graphs
+    # when j = i + 4 and never for the other swaps here
+    n = form.n
+    sigma = standard_antimorphism(form)
+    graphs = []
+    for mask in range(1, 2 ** (n - 1)):
+        seed = SeedNeighborhood(frozenset(x for x in range(1, n) if mask >> (x - 1) & 1))
+        try:
+            graphs.append(build_from_seed(form, seed))
+        except ValueError:
+            continue
+    assert graphs
+    outcomes = Counter()
+    for g in graphs:
+        for i, j in [(0, 0), (0, 1), (1, n - 1), (0, 4), (2, 6)]:
+            images = list(range(n))
+            images[i], images[j] = j, i
+            h = apply_permutation(g, Permutation(tuple(images)))
+            rows = [[] for _ in range(n)]
+            for u, v in sorted(h.edges):
+                rows[u].append(v)
+                rows[v].append(u)
+            rs = RotationSystem(h, tuple(map(tuple, rows)))
+            expected = is_antimorphism(h, sigma)
+            assert _antimorphism_stage(rs, form) == expected
+            outcomes[expected] += 1
+    assert outcomes[True] > len(graphs) and outcomes[False] > 0
+
+
 def test_search_triangular_k4():
     rs = search_triangular(make_complete(4))
     assert rs is not None
@@ -143,6 +198,12 @@ def test_search_triangular_k5_impossible_arc_count():
 def test_search_budget_exhaustion_returns_none():
     # K_7 needs 14 face placements, so 5 nodes can never finish
     assert search_triangular(make_complete(7), budget=5) is None
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_search_rejects_non_positive_budget(budget):
+    with pytest.raises(ValueError, match=f"budget must be positive, got {budget}"):
+        search_triangular(make_complete(4), budget)
 
 
 def test_search_edgeless_graph():

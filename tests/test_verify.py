@@ -262,6 +262,14 @@ def test_verify_table_validates_and_traces_each_half_once(counted, tmp_path, cap
     assert counted == {"certify_half": 2, "_face_permutation": 2, "spans_all": 2}
 
 
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    calls = count_calls(monkeypatch, ("build_parser",))
+    assert cli.main(["bounds", "--n", "16"]) == 0
+    assert cli.main(["family", "verify", "--s", "1"]) == 0
+    assert cli.main(["verify-table", "--rotation", "/no/such/file.rot"]) == 2
+    assert calls["build_parser"] == 0
+
+
 def test_family_verify_validates_and_traces_each_current_graph_once(monkeypatch, capsys):
     calls = count_calls(monkeypatch, ("validate_current_graph", "_face_orbits", "_twin_map"))
     assert cli.main(["family", "verify", "--s", "2"]) == 0
