@@ -33,8 +33,7 @@ print("cubic:", report.cubic)
 print("Kirchhoff:", report.kirchhoff)
 print("distinct currents:", report.distinct_currents)
 
-log = circuit_log(theta)
-print("circuit log:", log.currents)
+print("circuit log:", circuit_log(theta))
 
 # Row v of the derived embedding is row 0 shifted by v: one walk of the
 # face determines all of K_7.

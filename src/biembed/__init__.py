@@ -2,7 +2,6 @@
 graphs, the K_{24s+13} family, and self-complementary doublings."""
 
 from .currents import (
-    CircuitLog,
     CurrentGraph,
     CurrentGraphReport,
     circuit_log,
@@ -18,8 +17,6 @@ from .embeddings import (
     RotationSystem,
     SurfaceStats,
     Violation,
-    is_triangular,
-    make_rotation_system,
     parse_rotation_file,
     serialize_rotation,
     surface_stats,
@@ -43,7 +40,6 @@ from .graphs import (
     apply_permutation,
     circulant_is_connected,
     complement,
-    identity_permutation,
     is_antimorphism,
     is_connected,
     make_circulant,

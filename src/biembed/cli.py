@@ -39,7 +39,7 @@ def _emit_report(report: BiembeddingReport, out: str | None) -> int:
 
 def cmd_verify_table(args) -> int:
     rs = parse_rotation_file(Path(args.rotation).read_text())
-    n = rs.graph.n
+    n = len(rs.rotation)
     # the full cycle exists only for even n; odd orders park a fixed point
     kind = args.form or (selfcomp.FULL_CYCLE if n % 2 == 0 else selfcomp.CYCLE_PLUS_FIXED_POINT)
     return _emit_report(selfcomp.verify_table(rs, selfcomp.AntimorphismForm(kind, n)), args.out)

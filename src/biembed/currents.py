@@ -28,13 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .embeddings import RotationSystem
-from .graphs import (
-    DifferenceSet,
-    circulant_is_connected,
-    cycles,
-    make_circulant,
-    rows_in_label_order,
-)
+from .graphs import DifferenceSet, circulant_is_connected, cycles, rows_in_label_order
 
 Dart = tuple[int, int]
 
@@ -70,12 +64,6 @@ class CurrentGraph:
     @property
     def edge_count(self) -> int:
         return sum(len(row) for row in self.rows) // 2
-
-
-@dataclass(frozen=True)
-class CircuitLog:
-    n: int
-    currents: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -160,7 +148,7 @@ def current_classes(cg: CurrentGraph) -> DifferenceSet:
     )
 
 
-def circuit_log(cg: CurrentGraph) -> CircuitLog:
+def circuit_log(cg: CurrentGraph) -> tuple[int, ...]:
     """Currents read along the single face, starting from the arc with the
     least current."""
     if len(cg.faces) != 1:
@@ -168,31 +156,29 @@ def circuit_log(cg: CurrentGraph) -> CircuitLog:
     orbit = cg.faces[0]
     currents = [cg.rows[v][i][1] for v, i in orbit]
     k = currents.index(min(currents))
-    log = currents[k:] + currents[:k]
-    return CircuitLog(cg.n, tuple(log))
+    return tuple(currents[k:] + currents[:k])
 
 
 def derive_embedding(cg: CurrentGraph) -> RotationSystem:
     """Rotation system of the derived embedding on vertex set Z_n.
 
     Vertex k's rotation is the circuit log shifted by +k.  Asserts that the
-    result is a valid rotation system of the circulant on the current set and
-    that every face is a triangle, so a mis-transcribed current graph fails
-    loudly instead of deriving garbage.
+    rows are valid, which holds exactly when the log has no repeats and is
+    closed under negation, so that the rows are those of the circulant
+    C(n, X) on the current set X, and that every face is a triangle; a
+    mis-transcribed current graph fails loudly instead of deriving garbage.
     """
     if not cg.report.ok:
         raise ValueError(
             "current graph fails validation: " + "; ".join(cg.report.failures)
         )
-    x = current_classes(cg)
-    if not circulant_is_connected(x):
+    if not circulant_is_connected(current_classes(cg)):
         raise ValueError(
             f"derived graph disconnected (the currents share a factor with {cg.n}): "
             "the result would be more than one triangulated surface"
         )
-    log = circuit_log(cg).currents
-    rows = tuple(tuple((k + d) % cg.n for d in log) for k in range(cg.n))
-    rs = RotationSystem(make_circulant(x), rows)
+    log = circuit_log(cg)
+    rs = RotationSystem(tuple(tuple((k + d) % cg.n for d in log) for k in range(cg.n)))
     if not rs.certificate.triangular:  # false too when the rows are not C(n, X)'s
         raise AssertionError(f"derived embedding not triangular ({rs.certificate})")
     return rs

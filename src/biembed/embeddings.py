@@ -2,6 +2,11 @@
 
 A rotation system assigns to each vertex a cyclic order of its neighbors,
 which encodes a cellular embedding of the graph in an orientable surface.
+The rows are the data: ``RotationSystem`` holds only ``rotation``, and its
+``graph`` is derived from the rows (every pair they list at either end),
+built only when something asks for it.  The rows are valid when they list
+exactly the neighbors of each vertex in that graph: no repeat, no self, no
+vertex out of range, and w in row v exactly when v is in row w.
 Internally the map is in permutation form (Lando & Zvonkin 2004, ch. 1):
 the darts are the ints ``off[v] + i``, dart ``off[v] + i`` being the arc
 v -> rotation[v][i], and the faces are the cycles of one flat list ``phi``:
@@ -26,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graphs import Graph, cycles, is_connected, make_graph, rows_in_label_order, spans_all
+from .graphs import Graph, cycles, is_connected, rows_in_label_order, spans_all
 
 Arc = tuple[int, int]
 Face = tuple[Arc, ...]
@@ -34,14 +39,17 @@ Face = tuple[Arc, ...]
 
 @dataclass(frozen=True)
 class RotationSystem:
-    graph: Graph
     rotation: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        if len(self.rotation) != self.graph.n:
-            raise ValueError(
-                f"rotation has {len(self.rotation)} rows for {self.graph.n} vertices"
-            )
+    @cached_property
+    def graph(self) -> Graph:
+        """The pairs the rows list at either end, skipping self and
+        out-of-range entries; built once, on first use."""
+        n = len(self.rotation)
+        return Graph(n, frozenset(
+            (min(v, w), max(v, w))
+            for v, row in enumerate(self.rotation) for w in row if w != v and 0 <= w < n
+        ))
 
     @cached_property
     def certificate(self) -> HalfStats:
@@ -53,7 +61,7 @@ class RotationSystem:
 class HalfStats:
     """``valid``: the rows list exactly each vertex's neighbors.  Faces are
     counted only then (else None, not triangular); ``genus`` also needs
-    ``connected``, which comes from the rows if valid, else from the graph."""
+    ``connected``, which comes from the rows if valid, else from ``graph``."""
 
     edges: int
     faces: int | None
@@ -100,15 +108,12 @@ class SurfaceStats:
     genus: int
 
 
-def make_rotation_system(graph: Graph, rows) -> RotationSystem:
-    return RotationSystem(graph, tuple(tuple(row) for row in rows))
-
-
 def validate_rotation(r: RotationSystem) -> RotationReport:
     """Check each rotation row against the neighbor set; never raises.
 
     Reported violation kinds: "self in rotation", "duplicate neighbor",
-    "non-neighbor present", "missing neighbor".  ``certificate.valid`` is
+    "non-neighbor present" (a vertex out of range, as ``graph`` holds every
+    other pair the rows list), "missing neighbor".  ``certificate.valid`` is
     the same check without the list.
     """
     adjacency: list[set[int]] = [set() for _ in range(r.graph.n)]
@@ -137,26 +142,25 @@ def validate_rotation(r: RotationSystem) -> RotationReport:
 
 def _face_permutation(r: RotationSystem) -> list[int] | None:
     """phi, or None unless the rows list exactly each vertex's neighbors:
-    no row repeats an entry or lists its vertex, the rows hold 2|E| entries,
-    and both arcs of every edge are listed (so those are all the entries)."""
+    no row repeats an entry, lists its vertex or one out of range, and v is
+    in row w for each w in row v (the lookup of ``succ[w][v]`` below)."""
+    n = len(r.rotation)
     # after[w] in row v: the dart leaving v toward the successor of w there
     succ: list[dict[int, int]] = []
     off = 0
     for v, row in enumerate(r.rotation):
         k = len(row)
         after = dict(zip(row, range(off + 1, off + k + 1)))
-        if len(after) != k or v in after:
+        if len(after) != k or v in after or k and (min(row) < 0 or max(row) >= n):
             return None
         if k:
             after[row[-1]] = off
         succ.append(after)
         off += k
-    if off != 2 * len(r.graph.edges):
+    try:
+        return [succ[w][v] for v, row in enumerate(r.rotation) for w in row]
+    except KeyError:
         return None
-    for u, v in r.graph.edges:
-        if v not in succ[u] or u not in succ[v]:
-            return None
-    return [succ[w][v] for v, row in enumerate(r.rotation) for w in row]
 
 
 def _invalid(r: RotationSystem) -> ValueError:
@@ -172,17 +176,18 @@ def _invalid(r: RotationSystem) -> ValueError:
 def certify_half(r: RotationSystem) -> HalfStats:
     """Validate the rows, count faces and check connectivity in one pass
     over the darts; read it as ``r.certificate``, which keeps it."""
-    g = r.graph
     phi = _face_permutation(r)
     if phi is None:
+        g = r.graph
         isolated = g.n - len({v for edge in g.edges for v in edge})
         return HalfStats(len(g.edges), None, None, False, is_connected(g), isolated, False)
+    edges = len(phi) // 2
     lengths = [len(orbit) for orbit in cycles(phi, range(len(phi)))]
     faces, triangular = len(lengths), all(k == 3 for k in lengths)
     connected = spans_all(r.rotation)
-    genus = (2 - (g.n - len(g.edges) + faces)) // 2 if connected else None
+    genus = (2 - (len(r.rotation) - edges + faces)) // 2 if connected else None
     isolated = sum(not row for row in r.rotation)
-    return HalfStats(len(g.edges), faces, genus, triangular, connected, isolated, True)
+    return HalfStats(edges, faces, genus, triangular, connected, isolated, True)
 
 
 def trace_faces(r: RotationSystem) -> FaceSet:
@@ -198,18 +203,14 @@ def trace_faces(r: RotationSystem) -> FaceSet:
     return FaceSet(tuple(tuple(arcs[d] for d in orbit) for orbit in cycles(phi, starts)))
 
 
-def is_triangular(fs: FaceSet) -> bool:
-    return all(len(f) == 3 for f in fs.faces)
-
-
 def surface_stats(r: RotationSystem) -> SurfaceStats:
     cert = r.certificate
     if not cert.connected:
         raise ValueError("genus undefined for disconnected embedding")
     if not cert.valid:
         raise _invalid(r)
-    v = r.graph.n
-    e = len(r.graph.edges)
+    v = len(r.rotation)
+    e = cert.edges
     chi = v - e + cert.faces
     if chi % 2 != 0:
         raise AssertionError(f"odd Euler characteristic {chi}")
@@ -221,8 +222,9 @@ def surface_stats(r: RotationSystem) -> SurfaceStats:
 def parse_rotation_file(text: str) -> RotationSystem:
     """Parse rows `<v>. <n1> <n2> ...` into a rotation system.
 
-    The edge set is implied by the rows; every edge must be listed at both
-    endpoints or the text does not describe a rotation system at all.
+    Every pair must be listed at both ends, or the text does not describe
+    a rotation system at all; a row may still list its own vertex or repeat
+    an entry, which the certificate then reports.
     """
     rows: dict[int, tuple[int, ...]] = {}
     for raw in text.splitlines():
@@ -243,20 +245,20 @@ def parse_rotation_file(text: str) -> RotationSystem:
 
     rotation = rows_in_label_order(rows)
     n = len(rotation)
-    arcs = {(v, w) for v in range(n) for w in rotation[v]}
-    for v, w in arcs:
-        if (w, v) not in arcs:
-            raise ValueError(
-                f"rotation inconsistent with implied edge set: {v} lists {w} "
-                f"but {w} does not list {v}"
-            )
-    graph = make_graph(n, ((v, w) for v, w in arcs if v < w))
-    return RotationSystem(graph, rotation)
+    listed = [set(row) for row in rotation]
+    for v, row in enumerate(rotation):
+        for w in row:
+            if not (0 <= w < n and v in listed[w]):
+                raise ValueError(
+                    f"rotation inconsistent with implied edge set: {v} lists {w} "
+                    f"but {w} does not list {v}"
+                )
+    return RotationSystem(rotation)
 
 
 def serialize_rotation(r: RotationSystem) -> str:
     lines = []
-    for v in range(r.graph.n):
-        entries = " ".join(str(w) for w in r.rotation[v])
+    for v, row in enumerate(r.rotation):
+        entries = " ".join(str(w) for w in row)
         lines.append(f"{v}. {entries}".rstrip())
     return "\n".join(lines) + "\n"

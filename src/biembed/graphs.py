@@ -22,9 +22,6 @@ class Graph:
             if not (0 <= u < v < self.n):
                 raise ValueError(f"bad edge ({u}, {v}) for n={self.n}")
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
-
 
 def make_graph(n: int, edges) -> Graph:
     """Build a Graph from any iterable of vertex pairs, normalizing order."""
@@ -125,18 +122,6 @@ class Permutation:
 
     def __call__(self, i: int) -> int:
         return self.images[i]
-
-    def compose(self, other: Permutation) -> Permutation:
-        """self ∘ other: first apply other, then self."""
-        if self.n != other.n:
-            raise ValueError(f"size mismatch: {self.n} vs {other.n}")
-        return Permutation(tuple(self.images[other.images[i]] for i in range(self.n)))
-
-    def inverse(self) -> Permutation:
-        inv = [0] * self.n
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return Permutation(tuple(inv))
 
 
 def cycles(phi: list[int], starts):
@@ -244,10 +229,6 @@ def backtrack(chains: Chains, order: list[int], moves, budget: int):
                 break
         frames.append((tries, pos))
         made.append(move)
-
-
-def identity_permutation(n: int) -> Permutation:
-    return Permutation(tuple(range(n)))
 
 
 def apply_permutation(g: Graph, p: Permutation) -> Graph:

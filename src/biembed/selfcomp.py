@@ -106,13 +106,13 @@ def build_from_seed(form: AntimorphismForm, seed: SeedNeighborhood) -> Graph:
 
 def relabel(r: RotationSystem, p: Permutation) -> RotationSystem:
     """Rename every vertex v to p(v), carrying rotations along."""
-    if p.n != r.graph.n:
-        raise ValueError(f"permutation size {p.n} does not match {r.graph.n}")
-    rows = [()] * r.graph.n
-    for v in range(r.graph.n):
-        rows[p(v)] = tuple(p(w) for w in r.rotation[v])
-    graph = make_graph(r.graph.n, ((p(u), p(v)) for u, v in r.graph.edges))
-    return RotationSystem(graph, tuple(rows))
+    n = len(r.rotation)
+    if p.n != n:
+        raise ValueError(f"permutation size {p.n} does not match {n}")
+    rows = [()] * n
+    for v, row in enumerate(r.rotation):
+        rows[p(v)] = tuple(p(w) for w in row)
+    return RotationSystem(tuple(rows))
 
 
 def biembed_from_selfcomp(
@@ -133,8 +133,9 @@ def verify_table(r: RotationSystem, form: AntimorphismForm) -> BiembeddingReport
     """
     sigma = standard_antimorphism(form)
     rotation_ok = r.certificate.valid
-    same_order = r.graph.n == sigma.n
-    report = verify_biembedding(r, relabel(r, sigma) if same_order else r, r.graph.n)
+    n = len(r.rotation)
+    same_order = n == sigma.n
+    report = verify_biembedding(r, relabel(r, sigma) if same_order else r, n)
     # σ is a bijection, so σ(E) is the complement of E iff E and σ(E) are
     # disjoint and together hold all n(n-1)/2 pairs: the partition stage
     anti_ok = same_order and report.partition_ok
@@ -164,7 +165,7 @@ def search_triangular(g: Graph, budget: int = 200_000) -> RotationSystem | None:
             f"{arc_total} arcs is not divisible by 3"
         )
     if not g.edges:
-        return RotationSystem(g, tuple(() for _ in range(g.n)))
+        return RotationSystem(tuple(() for _ in range(g.n)))
 
     nbrs: list[set[int]] = [set() for _ in range(g.n)]
     for u, v in g.edges:
@@ -201,7 +202,7 @@ def search_triangular(g: Graph, budget: int = 200_000) -> RotationSystem | None:
     rows = [()] * g.n
     for orbit in cycles(chains.succ, range(len(owner))):
         rows[owner[orbit[0]]] = tuple(head[d] for d in orbit)
-    return RotationSystem(g, tuple(rows))
+    return RotationSystem(tuple(rows))
 
 
 _TABLE_FORMS = {

@@ -67,15 +67,22 @@ def verify_biembedding(r1: RotationSystem, r2: RotationSystem, n: int) -> Biembe
     Halves with isolated vertices are not rejected outright, but they can
     never pass the connectivity stage (n ≥ 2); the count is recorded.
     """
-    if r1.graph.n != n or r2.graph.n != n:
-        raise ValueError(
-            f"rotation systems on {r1.graph.n} and {r2.graph.n} vertices, expected {n}"
-        )
+    n1, n2 = len(r1.rotation), len(r2.rotation)
+    if n1 != n or n2 != n:
+        raise ValueError(f"rotation systems on {n1} and {n2} vertices, expected {n}")
     h1, h2 = r1.certificate, r2.certificate
-    # both edge sets hold only pairs u < v < n, so disjoint sets whose sizes
-    # add up to n(n-1)/2 cover every pair
-    e1, e2 = r1.graph.edges, r2.graph.edges
-    partition_ok = e1.isdisjoint(e2) and len(e1) + len(e2) == n * (n - 1) // 2
+    # halves[u * n + v] has bit 1 (2) set when half 1 (2) lists the pair
+    # {u, v} at either end, as its ``graph`` does; self entries are skipped, so
+    # the n cells u = v stay 0, and a partition sets one bit in every other
+    halves = bytearray(n * n)
+    for bit, r in ((1, r1), (2, r2)):
+        for v, row in enumerate(r.rotation):
+            base = v * n
+            for w in row:
+                if w != v and 0 <= w < n:
+                    halves[base + w] |= bit
+                    halves[w * n + v] |= bit
+    partition_ok = halves.count(0) == n and 3 not in halves
 
     bound = bigenus_lower_bound(n)
     achieves = (

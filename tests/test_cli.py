@@ -1,12 +1,13 @@
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
 from biembed.cli import main
 from biembed.currents import CurrentGraph, serialize_current_graph
-from biembed.embeddings import is_triangular, parse_rotation_file, trace_faces
+from biembed.embeddings import parse_rotation_file, trace_faces
 from biembed.graphs import make_complete, serialize_graph
 
 
@@ -37,6 +38,32 @@ def test_verify_table_wrong_form_fails(table16, capsys):
     code = main(["verify-table", "--rotation", table16, "--form", "cycle-plus-fixed-point"])
     assert code == 1
     assert "result: FAIL" in capsys.readouterr().out
+
+
+def _edit_row_0(path: str, edit) -> None:
+    lines = Path(path).read_text().splitlines()
+    lines[0] = edit(lines[0])  # "0. 1 9 5 3"
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("extra", [" 1", " 0"], ids=["duplicate", "self"])
+def test_verify_table_reports_an_invalid_row(table16, capsys, extra):
+    _edit_row_0(table16, lambda row: row + extra)
+    assert main(["verify-table", "--rotation", table16]) == 1
+    out = capsys.readouterr().out.splitlines()
+    for line in ("half 1 edges: 60", "partition ok: yes", "stage rotations valid: FAIL",
+                 "result: FAIL"):
+        assert line in out
+
+
+def test_verify_table_rejects_a_one_way_arc(table16, capsys):
+    _edit_row_0(table16, lambda row: row.rsplit(" ", 1)[0])
+    assert main(["verify-table", "--rotation", table16]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: rotation inconsistent with implied edge set: 3 lists 0 but 0 does not list 3\n"
+    )
 
 
 def test_verify_table_missing_file(capsys):
@@ -115,7 +142,7 @@ def test_selfcomp_search_k4(tmp_path, capsys):
     path.write_text(serialize_graph(make_complete(4)))
     assert main(["selfcomp", "search", "--graph", str(path)]) == 0
     rs = parse_rotation_file(capsys.readouterr().out)
-    assert is_triangular(trace_faces(rs))
+    assert set(trace_faces(rs).lengths()) == {3}
 
 
 def test_selfcomp_search_impossible_arc_count(tmp_path, capsys):
@@ -156,7 +183,7 @@ def test_derive_outputs_rotation(theta_file, capsys):
     assert main(["derive", "--current-graph", theta_file]) == 0
     rs = parse_rotation_file(capsys.readouterr().out)
     assert rs.graph.n == 7
-    assert is_triangular(trace_faces(rs))
+    assert set(trace_faces(rs).lengths()) == {3}
 
 
 def test_derive_rejects_invalid_current_graph(tmp_path, capsys):

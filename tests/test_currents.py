@@ -9,7 +9,7 @@ from biembed.currents import (
     serialize_current_graph,
     validate_current_graph,
 )
-from biembed.embeddings import is_triangular, surface_stats, trace_faces
+from biembed.embeddings import surface_stats, trace_faces
 from biembed.graphs import DifferenceSet, make_circulant
 
 
@@ -37,17 +37,17 @@ def test_theta_all_four_properties():
 
 def test_theta_circuit_log():
     log = circuit_log(theta_z7())
-    assert len(log.currents) == 6
-    assert log.currents[0] == min(log.currents)
+    assert len(log) == 6
+    assert log[0] == min(log)
     # every arc current appears exactly once
-    assert sorted(log.currents) == [1, 2, 3, 4, 5, 6]
+    assert sorted(log) == [1, 2, 3, 4, 5, 6]
 
 
 def test_theta_derived_embedding_is_k7_triangulation():
     rs = derive_embedding(theta_z7())
     assert rs.graph.n == 7
     assert len(rs.graph.edges) == 21
-    assert is_triangular(trace_faces(rs))
+    assert set(trace_faces(rs).lengths()) == {3}
     assert surface_stats(rs).genus == 1
 
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import permutations
 from pathlib import Path
 
@@ -7,37 +8,33 @@ import pytest
 import oracle
 from biembed.embeddings import (
     RotationSystem,
-    make_rotation_system,
     parse_rotation_file,
     serialize_rotation,
     surface_stats,
     trace_faces,
-    is_triangular,
     validate_rotation,
 )
-from biembed.graphs import is_connected, make_complete, make_graph
+from biembed.graphs import complement, is_connected, make_graph
+from biembed.verify import verify_biembedding
 
 from oracle import canonical_face_set, oracle_faces, random_rotation_data
 
 
 def ascending_k4():
-    g = make_complete(4)
-    rows = [tuple(w for w in range(4) if w != v) for v in range(4)]
-    return make_rotation_system(g, rows)
+    return RotationSystem(tuple(tuple(w for w in range(4) if w != v) for v in range(4)))
 
 
 def test_k3_spherical_triangles():
-    rs = make_rotation_system(make_complete(3), [(1, 2), (2, 0), (0, 1)])
+    rs = RotationSystem(((1, 2), (2, 0), (0, 1)))
     fs = trace_faces(rs)
-    assert sorted(fs.lengths()) == [3, 3]
-    assert is_triangular(fs)
+    assert fs.lengths() == [3, 3]
     assert surface_stats(rs).genus == 0
 
 
 def test_k4_ascending_rotation():
     fs = trace_faces(ascending_k4())
     assert sorted(fs.lengths()) == [4, 8]
-    assert not is_triangular(fs)
+    assert not ascending_k4().certificate.triangular
     st = surface_stats(ascending_k4())
     assert (st.v, st.e, st.f, st.genus) == (4, 6, 2, 1)
 
@@ -52,28 +49,26 @@ def test_face_arcs_are_exactly_the_arc_set():
 
 
 def test_validate_reports_each_violation_kind():
-    g = make_graph(3, [(0, 1), (1, 2)])
-    rs = make_rotation_system(g, [(1, 2), (0, 0), (2,)])
+    # the graph is every pair the rows list, so only a vertex out of range
+    # can be a non-neighbor
+    rs = RotationSystem(((1, 3), (0, 0, 2), (2,)))
     report = validate_rotation(rs)
-    kinds = {v.kind for v in report.violations}
-    assert "non-neighbor present" in kinds      # vertex 0 lists 2
-    assert "duplicate neighbor" in kinds        # vertex 1 lists 0 twice
-    assert "self in rotation" in kinds          # vertex 2 lists itself
-    assert "missing neighbor" in kinds          # vertex 1 omits 2, vertex 2 omits 1
+    kinds = {(v.vertex, v.kind) for v in report.violations}
+    assert (0, "non-neighbor present") in kinds  # vertex 0 lists 3
+    assert (1, "duplicate neighbor") in kinds    # vertex 1 lists 0 twice
+    assert (2, "self in rotation") in kinds      # vertex 2 lists itself
+    assert (2, "missing neighbor") in kinds      # vertex 1 lists 2, which omits 1
     assert not report.ok
 
 
 def test_trace_rejects_invalid_rotation():
-    g = make_graph(3, [(0, 1), (1, 2), (0, 2)])
-    rs = make_rotation_system(g, [(1,), (0, 2), (1, 0)])
+    rs = RotationSystem(((1,), (0, 2), (1, 0)))  # 2 lists 0, which omits 2
     with pytest.raises(ValueError, match="validate_rotation"):
         trace_faces(rs)
 
 
 def test_disconnected_genus_rejected():
-    g = make_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-    rows = [(1, 2), (2, 0), (0, 1), (4, 5), (5, 3), (3, 4)]
-    rs = make_rotation_system(g, rows)
+    rs = RotationSystem(((1, 2), (2, 0), (0, 1), (4, 5), (5, 3), (3, 4)))
     with pytest.raises(ValueError, match="disconnected"):
         surface_stats(rs)
     # tracing itself is still fine
@@ -84,21 +79,20 @@ def test_matches_oracle_on_random_systems():
     rng = random.Random(20240915)
     for _ in range(300):
         n, edges, rows = random_rotation_data(rng)
-        rs = make_rotation_system(make_graph(n, edges), rows)
+        rs = RotationSystem(tuple(rows))
         got = canonical_face_set(trace_faces(rs).faces)
         want = canonical_face_set(oracle_faces({v: rows[v] for v in range(n)}))
         assert got == want
 
 
 def test_exhaustive_k4_oracle_equivalence():
-    g = make_complete(4)
     neighbor_orders = [list(permutations([w for w in range(4) if w != v])) for v in range(4)]
     count = 0
     for r0 in neighbor_orders[0]:
         for r1 in neighbor_orders[1]:
             for r2 in neighbor_orders[2]:
                 for r3 in neighbor_orders[3]:
-                    rs = make_rotation_system(g, [r0, r1, r2, r3])
+                    rs = RotationSystem((r0, r1, r2, r3))
                     rotation = {0: r0, 1: r1, 2: r2, 3: r3}
                     assert canonical_face_set(trace_faces(rs).faces) == canonical_face_set(
                         oracle_faces(rotation)
@@ -111,9 +105,8 @@ def test_orientation_reversal_preserves_genus():
     rng = random.Random(7)
     for _ in range(80):
         n, edges, rows = random_rotation_data(rng)
-        g = make_graph(n, edges)
-        rs = make_rotation_system(g, rows)
-        rev = make_rotation_system(g, [tuple(reversed(r)) for r in rows])
+        rs = RotationSystem(tuple(rows))
+        rev = RotationSystem(tuple(tuple(reversed(r)) for r in rows))
         assert trace_faces(rs).face_count == trace_faces(rev).face_count
 
 
@@ -121,13 +114,13 @@ def test_triangularity_matches_arithmetic_identity():
     rng = random.Random(99)
     for _ in range(120):
         n, edges, rows = random_rotation_data(rng)
-        rs = make_rotation_system(make_graph(n, edges), rows)
+        rs = RotationSystem(tuple(rows))
         fs = trace_faces(rs)
         e = len(edges)
-        if is_triangular(fs) and e:
+        if rs.certificate.triangular and e:
             assert 3 * fs.face_count == 2 * e
         if e and 3 * fs.face_count == 2 * e and all(len(f) == 3 for f in fs.faces):
-            assert is_triangular(fs)
+            assert rs.certificate.triangular
 
 
 def test_rotation_file_round_trip():
@@ -174,7 +167,7 @@ def test_certificate_matches_oracle_on_random_systems():
     rng = random.Random(20261017)
     for _ in range(300):
         n, edges, rows = random_rotation_data(rng)
-        rs = make_rotation_system(make_graph(n, edges), rows)
+        rs = RotationSystem(tuple(rows))
         faces = oracle_faces({v: rows[v] for v in range(n)})
         cert = rs.certificate
         assert cert.valid
@@ -185,17 +178,22 @@ def test_certificate_matches_oracle_on_random_systems():
 
 
 def test_certificate_validity_matches_validate_rotation():
-    # each mutation breaks "rows = adjacency" in a different way, or not at all
+    # each mutation breaks "rows = adjacency" in a different way, or not at
+    # all; the partition against the complement of the unmutated graph must
+    # read the rows as their ``graph`` does
     rng = random.Random(41)
     checked = 0
-    for _ in range(300):
+    kinds, partitions = Counter(), Counter()
+    for _ in range(600):
         n, edges, rows = random_rotation_data(rng)
         if not edges:
             continue
-        g = make_graph(n, edges)
         rows = [list(r) for r in rows]
         v = rng.choice([v for v in range(n) if rows[v]])
-        kind = rng.randrange(5)
+        strangers = [u for u in range(n) if u != v and u not in rows[v]]
+        kind = rng.randrange(8)
+        if kind == 5 and not strangers:
+            kind = 7
         if kind == 0:
             rows[v].pop()  # missing neighbor
         elif kind == 1:
@@ -204,16 +202,35 @@ def test_certificate_validity_matches_validate_rotation():
             rows[v][0] = v  # self, and a missing neighbor
         elif kind == 3:
             rows[v].append(n)  # out of range
+        elif kind == 4:
+            rows[v].append(-1)  # negative: must not index from the end
+        elif kind == 5:
+            rows[v].append(rng.choice(strangers))  # one-way arc
+        elif kind == 6:
+            rows[v].insert(rng.randrange(len(rows[v]) + 1), v)  # self only
         else:
             rng.shuffle(rows[v])  # still valid
-        rs = RotationSystem(g, tuple(map(tuple, rows)))
+        kinds[kind] += 1
+        rs = RotationSystem(tuple(map(tuple, rows)))
         assert rs.certificate.valid == validate_rotation(rs).ok
         if not rs.certificate.valid:
             assert rs.certificate.faces is None and not rs.certificate.triangular
             with pytest.raises(ValueError, match="validate_rotation"):
                 trace_faces(rs)
+        if n >= 3:
+            other_graph = complement(make_graph(n, edges))
+            other_rows = [[] for _ in range(n)]
+            for a, b in sorted(other_graph.edges):
+                other_rows[a].append(b)
+                other_rows[b].append(a)
+            other = RotationSystem(tuple(map(tuple, other_rows)))
+            e1, e2 = rs.graph.edges, other.graph.edges
+            want = e1.isdisjoint(e2) and len(e1) + len(e2) == n * (n - 1) // 2
+            assert verify_biembedding(rs, other, n).partition_ok == want
+            partitions[want] += 1
         checked += 1
-    assert checked > 200
+    assert checked > 400 and len(kinds) == 8
+    assert partitions[True] > 50 and partitions[False] > 20
 
 
 def test_oracle_shares_no_code_with_the_package():

@@ -6,10 +6,9 @@ from math import ceil
 import pytest
 
 from biembed import cli, currents, embeddings, family, graphs, selfcomp, verify
-from biembed.currents import derive_embedding
-from biembed.embeddings import RotationSystem, make_rotation_system
+from biembed.currents import derive_embedding, serialize_current_graph
+from biembed.embeddings import RotationSystem
 from biembed.family import FamilyParameter, build_pair
-from biembed.graphs import make_graph
 from biembed.selfcomp import load_bundled_table, verify_table
 from biembed.verify import (
     bichromatic_upper_bound,
@@ -118,13 +117,11 @@ def test_order_mismatch_rejected():
 
 
 def triangle_plus_isolated() -> RotationSystem:
-    g = make_graph(4, [(0, 1), (1, 2), (0, 2)])
-    return make_rotation_system(g, ((1, 2), (2, 0), (0, 1), ()))
+    return RotationSystem(((1, 2), (2, 0), (0, 1), ()))
 
 
 def star_rotation() -> RotationSystem:
-    g = make_graph(4, [(0, 3), (1, 3), (2, 3)])
-    return make_rotation_system(g, ((3,), (3,), (3,), (0, 1, 2)))
+    return RotationSystem(((3,), (3,), (3,), (0, 1, 2)))
 
 
 def test_isolated_vertex_recorded_and_blocks_connectivity():
@@ -141,8 +138,7 @@ def test_isolated_vertex_recorded_and_blocks_connectivity():
 
 
 def test_invalid_rotation_leaves_faces_blank():
-    g = make_graph(4, [(0, 1), (1, 2), (0, 2)])
-    bad = RotationSystem(g, ((1, 1), (2, 0), (0, 1), ()))
+    bad = RotationSystem(((1, 1), (2, 0), (0, 1), ()))
     report = verify_biembedding(bad, star_rotation(), 4)
     assert ("rotations valid", False) in report.stages
     assert report.halves[0].faces is None
@@ -186,15 +182,13 @@ def s1_halves():
 def mutated(kind: str) -> RotationSystem:
     r1, _ = s1_halves()
     rows = [list(row) for row in r1.rotation]
-    graph = r1.graph
     if kind == "swap":
         rows[0][0], rows[0][1] = rows[0][1], rows[0][0]
-    elif kind == "drop":
+    elif kind == "drop":  # the edge is still listed at its other end
         del rows[0][0]
     else:  # cut vertex 0 off: valid rows of a disconnected graph
         rows = [[w for w in row if w != 0] if v else [] for v, row in enumerate(rows)]
-        graph = make_graph(37, [e for e in graph.edges if 0 not in e])
-    return RotationSystem(graph, tuple(map(tuple, rows)))
+    return RotationSystem(tuple(map(tuple, rows)))
 
 
 def fields(text: str) -> dict[str, str]:
@@ -274,3 +268,30 @@ def test_family_verify_validates_and_traces_each_current_graph_once(monkeypatch,
     calls = count_calls(monkeypatch, ("validate_current_graph", "_face_orbits", "_twin_map"))
     assert cli.main(["family", "verify", "--s", "2"]) == 0
     assert calls == {"validate_current_graph": 2, "_face_orbits": 2, "_twin_map": 2}
+
+
+def test_certifier_builds_no_edge_set(monkeypatch, tmp_path, capsys):
+    # the rows are the whole map: no circulant or parsed edge set is built
+    calls = count_calls(monkeypatch, ("make_circulant", "make_graph"))
+    table = tmp_path / "table21.rot"
+    table.write_text(resources.files("biembed.data").joinpath("table21.rot").read_text())
+    half = tmp_path / "half37.cur"
+    half.write_text(serialize_current_graph(build_pair(FamilyParameter(1)).first))
+    assert cli.main(["family", "verify", "--s", "2"]) == 0
+    assert cli.main(["derive", "--current-graph", str(half)]) == 0
+    assert cli.main(["verify-table", "--rotation", str(table)]) == 0
+    assert calls == {}
+
+
+def test_derived_halves_never_build_their_graph(monkeypatch):
+    derived = []
+
+    def keep(cg, _derive=family.derive_embedding):
+        derived.append(_derive(cg))
+        return derived[-1]
+
+    monkeypatch.setattr(family, "derive_embedding", keep)
+    p = FamilyParameter(2)
+    assert family.verify_pair(build_pair(p), p).passed
+    assert len(derived) == 2
+    assert not any("graph" in vars(rs) for rs in derived)
