@@ -34,7 +34,7 @@ print(f"first half: {stats.e} edges, {stats.f} triangles, genus {stats.genus}")
 print("formula genus 24s²+13s+1 =", family_genus(p.s))
 print("lower bound for K_37    =", bigenus_lower_bound(p.n))
 
-# The full certificate: current sets, both derivations, edge partition,
-# connectivity, triangularity, and the genus target.
+# The full certificate, each half read from its circuit log: current sets,
+# edge partition, connectivity, triangularity, and the genus target.
 print()
 print(render_report(verify_family(p)), end="")

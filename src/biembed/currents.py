@@ -14,6 +14,13 @@ as the rotation of vertex 0 and shifting by +k for vertex k produces a
 rotation system for the circulant C(n, X) on the currents X, and properties
 (a)-(d) force every face of that derived embedding to be a triangle.
 
+That embedding is Z_n-invariant, so it is certified from the log alone
+(Gross & Tucker, *Topological Graph Theory* §4.4): after an arc of
+difference d, the face goes on with difference phi(d) = next_log(-d), and a
+phi-orbit of length L whose differences sum to S gives gcd(n, S) faces of
+length L·n/gcd(n, S).  ``certify_log`` counts them in O(|log|), kept as
+``CurrentGraph.certificate``; the rows are built only by ``derive_embedding``.
+
 Storage: ``rows[v]`` lists ``(neighbor, current)`` pairs in rotation order,
 where ``current`` in 1..n-1 is the value carried by the arc leaving v.  The
 same edge therefore shows up at its other endpoint with the negated current.
@@ -26,8 +33,10 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
+from math import gcd
 
-from .embeddings import RotationSystem
+from .embeddings import HalfStats, RotationSystem
 from .graphs import DifferenceSet, circulant_is_connected, cycles, rows_in_label_order
 
 Dart = tuple[int, int]
@@ -60,6 +69,18 @@ class CurrentGraph:
     def report(self) -> CurrentGraphReport:
         """validate_current_graph(self), computed once."""
         return validate_current_graph(self)
+
+    @cached_property
+    def classes(self) -> DifferenceSet:
+        """The set of currents used, as residues in 1..⌊n/2⌋, computed once."""
+        return DifferenceSet(
+            self.n, frozenset(min(c, self.n - c) for row in self.rows for _, c in row)
+        )
+
+    @cached_property
+    def certificate(self) -> HalfStats:
+        """certify_log(n, circuit_log(self)): the derived half's certificate."""
+        return certify_log(self.n, circuit_log(self))
 
     @property
     def edge_count(self) -> int:
@@ -106,9 +127,10 @@ def _face_orbits(cg: CurrentGraph) -> list[list[Dart]]:
     """Faces of the embedding: after an arc, take the rotation successor of
     its reverse at the head vertex."""
     twins = _twin_map(cg)
-    darts = sorted(twins)
-    index = {d: i for i, d in enumerate(darts)}
-    phi = [index[w, (j + 1) % len(cg.rows[w])] for w, j in map(twins.get, darts)]
+    # dart (v, i) is number off[v] + i, so darts in (v, i) order are 0, 1, ...
+    off = list(accumulate((len(row) for row in cg.rows), initial=0))
+    darts = [(v, i) for v, row in enumerate(cg.rows) for i in range(len(row))]
+    phi = [off[w] + (j + 1) % (off[w + 1] - off[w]) for w, j in map(twins.get, darts)]
     return [[darts[i] for i in orbit] for orbit in cycles(phi, range(len(phi)))]
 
 
@@ -143,9 +165,7 @@ def validate_current_graph(cg: CurrentGraph) -> CurrentGraphReport:
 
 def current_classes(cg: CurrentGraph) -> DifferenceSet:
     """The set of currents used, reported as residues in 1..⌊n/2⌋."""
-    return DifferenceSet(
-        cg.n, frozenset(min(c, cg.n - c) for row in cg.rows for _, c in row)
-    )
+    return cg.classes
 
 
 def circuit_log(cg: CurrentGraph) -> tuple[int, ...]:
@@ -159,29 +179,63 @@ def circuit_log(cg: CurrentGraph) -> tuple[int, ...]:
     return tuple(currents[k:] + currents[:k])
 
 
-def derive_embedding(cg: CurrentGraph) -> RotationSystem:
-    """Rotation system of the derived embedding on vertex set Z_n.
+def certify_log(n: int, log: tuple[int, ...]) -> HalfStats:
+    """``RotationSystem(rows).certificate`` for the rows (k + d) % n, d in the
+    log, k in Z_n, in O(|log|) and without building them.
 
-    Vertex k's rotation is the circuit log shifted by +k.  Asserts that the
-    rows are valid, which holds exactly when the log has no repeats and is
-    closed under negation, so that the rows are those of the circulant
-    C(n, X) on the current set X, and that every face is a triangle; a
-    mis-transcribed current graph fails loudly instead of deriving garbage.
+    The rows are valid exactly when the log has no repeat, no 0 and is closed
+    under negation; their graph is the circulant on the classes {d, -d} of
+    the log, connected iff gcd(classes ∪ {n}) = 1.
     """
+    k = len(log)
+    pos = {d: i for i, d in enumerate(log)}
+    classes = {min(d, n - d) for d in log if d}
+    g = n
+    for c in classes:
+        g = gcd(g, c)
+    connected, isolated = g == 1, 0 if classes else n
+    if len(pos) != k or 0 in pos or any((-d) % n not in pos for d in log):
+        # a class c holds the n pairs {v, v + c}, or n/2 when c = n/2
+        edges = sum(n // 2 if 2 * c == n else n for c in classes)
+        return HalfStats(edges, None, None, False, connected, isolated, False)
+    phi = [(pos[(-d) % n] + 1) % k for d in log]
+    faces, triangular = 0, True
+    for orbit in cycles(phi, range(k)):
+        m = gcd(n, sum(log[i] for i in orbit))
+        faces += m
+        triangular = triangular and len(orbit) * n == 3 * m  # m faces of length L·n/m
+    edges = n * k // 2
+    genus = (2 - (n - edges + faces)) // 2 if connected else None
+    return HalfStats(edges, faces, genus, triangular, connected, isolated, True)
+
+
+def certify_derived(cg: CurrentGraph) -> HalfStats:
+    """The certificate of cg's derived embedding, once cg validates, its
+    currents generate Z_n, and every face is a triangle.  The last fails too
+    when the rows would not be valid (a log with a repeat, or not closed
+    under negation), so a mis-transcribed current graph fails loudly instead
+    of certifying garbage."""
     if not cg.report.ok:
         raise ValueError(
             "current graph fails validation: " + "; ".join(cg.report.failures)
         )
-    if not circulant_is_connected(current_classes(cg)):
+    if not circulant_is_connected(cg.classes):
         raise ValueError(
             f"derived graph disconnected (the currents share a factor with {cg.n}): "
             "the result would be more than one triangulated surface"
         )
+    if not cg.certificate.triangular:  # false too when the rows are not C(n, X)'s
+        raise AssertionError(f"derived embedding not triangular ({cg.certificate})")
+    return cg.certificate
+
+
+def derive_embedding(cg: CurrentGraph) -> RotationSystem:
+    """Rotation system of the derived embedding on vertex set Z_n: vertex
+    k's rotation is the circuit log shifted by +k.  Checked first by
+    ``certify_derived``."""
+    certify_derived(cg)
     log = circuit_log(cg)
-    rs = RotationSystem(tuple(tuple((k + d) % cg.n for d in log) for k in range(cg.n)))
-    if not rs.certificate.triangular:  # false too when the rows are not C(n, X)'s
-        raise AssertionError(f"derived embedding not triangular ({rs.certificate})")
-    return rs
+    return RotationSystem(tuple(tuple((k + d) % cg.n for d in log) for k in range(cg.n)))
 
 
 _ENTRY = re.compile(r"\((-?\d+),(-?\d+)\)")

@@ -19,11 +19,15 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .currents import CurrentGraph, current_classes, derive_embedding
+from .currents import CurrentGraph, certify_derived
 from .graphs import Chains, DifferenceSet, backtrack
-from .verify import BiembeddingReport, verify_biembedding, with_stages
+from .verify import BiembeddingReport, biembedding_report, with_stages
 
 _TEMPLATE_RESOURCE = "family_template.json"
+
+# peak memory is linear in s, about 9 KB per unit on 64-bit CPython 3.11
+# (family verify peaks at 380 MB at s = 40,000), so s = S_MAX stays near 0.7 GB
+S_MAX = 75_000
 
 
 @dataclass(frozen=True)
@@ -35,6 +39,11 @@ class FamilyParameter:
             raise ValueError(
                 f"family parameter s must be at least 1, got {self.s} "
                 "(K_13 is known but below the template range)"
+            )
+        if self.s > S_MAX:
+            raise ValueError(
+                f"family parameter s must be at most {S_MAX}, got {self.s} "
+                "(memory grows by about 9 KB per unit of s)"
             )
 
     @property
@@ -53,8 +62,7 @@ class CurrentPair:
                 f"moduli differ: {self.first.n} vs {self.second.n}"
             )
         n = self.first.n
-        x1 = current_classes(self.first).x
-        x2 = current_classes(self.second).x
+        x1, x2 = self.first.classes.x, self.second.classes.x
         if x1 & x2:
             raise ValueError(f"current sets overlap: {sorted(x1 & x2)}")
         full = set(range(1, n // 2 + 1))
@@ -173,7 +181,7 @@ def build_pair(p: FamilyParameter) -> CurrentPair:
     pair = CurrentPair(first, second)
 
     x1, x2 = current_sets(p)
-    if current_classes(first) != x1 or current_classes(second) != x2:
+    if first.classes != x1 or second.classes != x2:
         raise AssertionError("template pair does not carry the expected current sets")
     for cg in (first, second):
         if not cg.report.ok:
@@ -184,19 +192,25 @@ def build_pair(p: FamilyParameter) -> CurrentPair:
 
 
 def verify_pair(pair: CurrentPair, p: FamilyParameter) -> BiembeddingReport:
-    """Derive both halves of a pair and certify the biembedding of K_n."""
+    """Certify the biembedding of K_n by the pair's two derived halves.
+
+    Each half is certified from its circuit log (``certify_derived``), with
+    no rows built.  The halves are the circulants on the current sets X₁, X₂
+    ⊆ {1..⌊n/2⌋}, so their edge sets partition E(K_n) exactly when X₁ ∩ X₂ = ∅
+    and |X₁| + |X₂| = ⌊n/2⌋.
+    """
     x1, x2 = current_sets(p)
-    sets_match = (
-        current_classes(pair.first) == x1 and current_classes(pair.second) == x2
-    )
-    r1 = derive_embedding(pair.first)
-    r2 = derive_embedding(pair.second)
-    report = verify_biembedding(r1, r2, p.n)
+    c1, c2 = pair.first.classes, pair.second.classes
+    h1, h2 = certify_derived(pair.first), certify_derived(pair.second)
+    if c1.n != p.n:
+        raise ValueError(f"rotation systems on {c1.n} and {c2.n} vertices, expected {p.n}")
+    partition_ok = not (c1.x & c2.x) and len(c1.x) + len(c2.x) == p.n // 2
+    report = biembedding_report(p.n, h1, h2, partition_ok)
     expected = family_genus(p.s)
     genus_ok = all(h.genus == expected for h in report.halves)
     return with_stages(
         report,
-        [("current sets match", sets_match), ("genus formula", genus_ok)],
+        [("current sets match", c1 == x1 and c2 == x2), ("genus formula", genus_ok)],
     )
 
 

@@ -70,7 +70,6 @@ def verify_biembedding(r1: RotationSystem, r2: RotationSystem, n: int) -> Biembe
     n1, n2 = len(r1.rotation), len(r2.rotation)
     if n1 != n or n2 != n:
         raise ValueError(f"rotation systems on {n1} and {n2} vertices, expected {n}")
-    h1, h2 = r1.certificate, r2.certificate
     # halves[u * n + v] has bit 1 (2) set when half 1 (2) lists the pair
     # {u, v} at either end, as its ``graph`` does; self entries are skipped, so
     # the n cells u = v stay 0, and a partition sets one bit in every other
@@ -83,7 +82,14 @@ def verify_biembedding(r1: RotationSystem, r2: RotationSystem, n: int) -> Biembe
                     halves[base + w] |= bit
                     halves[w * n + v] |= bit
     partition_ok = halves.count(0) == n and 3 not in halves
+    return biembedding_report(n, r1.certificate, r2.certificate, partition_ok)
 
+
+def biembedding_report(
+    n: int, h1: HalfStats, h2: HalfStats, partition_ok: bool
+) -> BiembeddingReport:
+    """The report on two certified halves whose edge sets do (or do not)
+    partition E(K_n)."""
     bound = bigenus_lower_bound(n)
     achieves = (
         partition_ok

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 from biembed.cli import main
 from biembed.currents import CurrentGraph, serialize_current_graph
 from biembed.embeddings import parse_rotation_file, trace_faces
+from biembed.family import S_MAX
 from biembed.graphs import make_complete, serialize_graph
 
 
@@ -103,6 +105,16 @@ def test_family_usage_errors(capsys):
     )
     assert main(["family", "search", "--s", "1", "--budget", "0"]) == 2
     assert capsys.readouterr().err == "error: budget must be positive, got 0\n"
+
+
+@pytest.mark.parametrize("mode", ["verify", "search"])
+def test_family_s_above_the_bound_exits_before_any_work(mode, capsys):
+    start = time.perf_counter()
+    assert main(["family", mode, "--s", str(S_MAX + 1)]) == 2
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr() == ("", (
+        f"error: family parameter s must be at most {S_MAX}, got {S_MAX + 1} "
+        "(memory grows by about 9 KB per unit of s)\n"))
 
 
 def test_bounds_n(capsys):

@@ -1,7 +1,11 @@
+import random
+
 import pytest
 
+from biembed.cli import main
 from biembed.currents import (
     CurrentGraph,
+    certify_log,
     circuit_log,
     current_classes,
     derive_embedding,
@@ -9,7 +13,8 @@ from biembed.currents import (
     serialize_current_graph,
     validate_current_graph,
 )
-from biembed.embeddings import surface_stats, trace_faces
+from biembed.embeddings import RotationSystem, surface_stats, trace_faces
+from biembed.family import FamilyParameter, build_pair
 from biembed.graphs import DifferenceSet, make_circulant
 
 
@@ -180,3 +185,93 @@ def test_current_graph_file_errors():
         parse_current_graph_file("n 7\n")
     with pytest.raises(ValueError, match=r"missing rows for 999999999999 of vertices"):
         parse_current_graph_file(f"n 7\n0: (1,1)\n{10**12}: (0,-1)\n")
+
+
+def shifted_rows(n: int, log: tuple[int, ...]) -> RotationSystem:
+    return RotationSystem(tuple(tuple((k + d) % n for d in log) for k in range(n)))
+
+
+def family_logs(s: int) -> list[tuple[int, ...]]:
+    pair = build_pair(FamilyParameter(s))
+    return [circuit_log(pair.first), circuit_log(pair.second)]
+
+
+def adjacent_swaps(log: tuple[int, ...]):
+    for i in range(len(log) - 1):
+        swapped = list(log)
+        swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+        yield tuple(swapped)
+
+
+def test_log_certificate_matches_the_full_trace_on_mutated_family_logs():
+    # the reference is the certificate of the materialised rows: phi over all
+    # n·|log| darts, cycle lengths, a search from vertex 0
+    logs = [(24 * s + 13, log) for s in (1, 2) for log in family_logs(s)]
+    cases = [(n, log[::-1]) for n, log in logs]
+    cases += [(n, swapped) for n, log in logs for swapped in adjacent_swaps(log)]
+    non_triangular = 0
+    for n, log in cases:
+        cert = certify_log(n, log)
+        assert cert == shifted_rows(n, log).certificate, (n, log)
+        non_triangular += not cert.triangular
+    assert non_triangular > len(cases) // 2  # most swaps break some triangle
+
+
+@pytest.mark.parametrize(
+    "n, log, connected",
+    [
+        (15, (3, 6, 12, 9), False),  # gcd(15, 3, 6) = 3: three components
+        (15, (3, 5, 12, 10), True),  # composite n, currents each share a factor
+        (111, tuple(3 * d for d in (1, 6, 15, 14, 3, 5, 36, 22, 28, 2, 34, 11, 9, 31, 32, 35,
+                                    26, 23)), False),  # the s = 1 log scaled into Z_111
+        (8, (1, 3, 4, 4, 5, 7), True),  # n/2 twice: a repeat, so invalid
+        (9, (1, 2, 8), True),  # 7 = -2 missing: not closed under negation
+        (9, (0, 1, 8), True),  # 0 lists each vertex in its own row
+        (9, (0,), False),  # only self entries: every vertex isolated
+        (9, (), False),
+    ],
+)
+def test_log_certificate_matches_the_full_trace_on_synthetic_logs(n, log, connected):
+    cert = certify_log(n, log)
+    assert cert == shifted_rows(n, log).certificate
+    assert cert.connected is connected
+    if not connected:
+        assert cert.genus is None
+
+
+def test_log_certificate_matches_the_full_trace_on_random_logs():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        n = rng.randrange(2, 30)
+        classes = rng.sample(range(1, n // 2 + 1), rng.randrange(0, n // 2 + 1))
+        log = [d for c in classes for d in {c, n - c}]
+        rng.shuffle(log)
+        if log and rng.random() < 0.3:  # break validity now and then
+            log[rng.randrange(len(log))] = rng.randrange(n)
+        assert certify_log(n, tuple(log)) == shifted_rows(n, tuple(log)).certificate, (n, log)
+
+
+def test_current_graph_certificate_is_its_log_certificate():
+    cg = theta_z7()
+    assert cg.certificate == certify_log(7, circuit_log(cg))
+    assert cg.certificate == derive_embedding(cg).certificate
+    assert cg.certificate is cg.certificate  # cached
+
+
+@pytest.mark.parametrize(
+    "old, new, err",
+    [
+        ("0: (5,-9)", "0: (5,9)", "arc 0->5 with current 9 has no reverse arc carrying 28"),
+        ("0: (5,-9) (2,-6) (1,15)\n1: (0,-15)", "0: (5,-9) (2,-6) (1,-15)\n1: (0,15)",
+         "current graph fails validation: currents entering vertex 0 sum to 30, not 0; "
+         "currents entering vertex 1 sum to 7, not 0"),
+    ],
+    ids=["one-end", "both-ends"],
+)
+def test_derive_rejects_a_flipped_current(tmp_path, capsys, old, new, err):
+    text = serialize_current_graph(build_pair(FamilyParameter(1)).first)
+    assert old in text
+    path = tmp_path / "flipped.cur"
+    path.write_text(text.replace(old, new))
+    assert main(["derive", "--current-graph", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {err}\n")

@@ -3,6 +3,7 @@ import pytest
 from biembed.currents import current_classes, derive_embedding, validate_current_graph
 from biembed.embeddings import surface_stats
 from biembed.family import (
+    S_MAX,
     CurrentPair,
     FamilyParameter,
     build_pair,
@@ -13,7 +14,7 @@ from biembed.family import (
     verify_pair,
 )
 from biembed.graphs import DifferenceSet
-from biembed.verify import bigenus_lower_bound
+from biembed.verify import bigenus_lower_bound, render_report, verify_biembedding, with_stages
 
 
 def test_parameter_rejects_zero():
@@ -21,6 +22,12 @@ def test_parameter_rejects_zero():
         FamilyParameter(0)
     assert FamilyParameter(1).n == 37
     assert FamilyParameter(10).n == 253
+
+
+def test_parameter_rejects_s_above_the_memory_bound():
+    assert FamilyParameter(S_MAX).n == 24 * S_MAX + 13
+    with pytest.raises(ValueError, match=f"at most {S_MAX}, got {S_MAX + 1}"):
+        FamilyParameter(S_MAX + 1)
 
 
 def test_current_sets_s1_exact():
@@ -134,3 +141,17 @@ def test_search_pair_least_budget_is_pinned():
     pair = search_pair(*current_sets(p), budget=22_713)
     assert pair is not None
     assert verify_pair(pair, p).passed
+
+
+@pytest.mark.parametrize("s", range(1, 11))
+def test_verify_pair_matches_the_full_trace(s):
+    # the reference: derive both halves' rows, trace every dart, and mark
+    # every pair in an n×n table
+    p = FamilyParameter(s)
+    pair = build_pair(p)
+    x1, x2 = current_sets(p)
+    full = verify_biembedding(derive_embedding(pair.first), derive_embedding(pair.second), p.n)
+    sets_match = current_classes(pair.first) == x1 and current_classes(pair.second) == x2
+    genus_ok = all(h.genus == family_genus(s) for h in full.halves)
+    want = with_stages(full, [("current sets match", sets_match), ("genus formula", genus_ok)])
+    assert render_report(verify_pair(pair, p)) == render_report(want)

@@ -244,9 +244,28 @@ def counted(monkeypatch):
                                      "trace_faces", "is_connected", "spans_all"))
 
 
-def test_family_verify_validates_and_traces_each_half_once(counted, capsys):
+@pytest.mark.parametrize("argv", [["family", "verify", "--s", "2"], ["family", "search", "--s", "1"]],
+                         ids=["verify", "search"])
+def test_family_commands_certify_halves_from_the_log(monkeypatch, argv, capsys):
+    # each half is certified from its circuit log: no rows, no phi over
+    # darts, no n×n partition table
+    calls = count_calls(monkeypatch, ("certify_half", "_face_permutation", "spans_all",
+                                      "derive_embedding", "verify_biembedding"))
+    assert cli.main(argv) == 0
+    assert calls == {}
+
+
+def test_current_classes_computed_once_per_current_graph(monkeypatch, capsys):
+    made = []
+
+    def counting(n, x, _make=currents.DifferenceSet):
+        made.append(n)
+        return _make(n, x)
+
+    monkeypatch.setattr(currents, "DifferenceSet", counting)
     assert cli.main(["family", "verify", "--s", "2"]) == 0
-    assert counted == {"certify_half": 2, "_face_permutation": 2, "spans_all": 2}
+    assert cli.main(["family", "search", "--s", "1"]) == 0
+    assert made == [61, 61, 37, 37]
 
 
 def test_verify_table_validates_and_traces_each_half_once(counted, tmp_path, capsys):
@@ -281,17 +300,3 @@ def test_certifier_builds_no_edge_set(monkeypatch, tmp_path, capsys):
     assert cli.main(["derive", "--current-graph", str(half)]) == 0
     assert cli.main(["verify-table", "--rotation", str(table)]) == 0
     assert calls == {}
-
-
-def test_derived_halves_never_build_their_graph(monkeypatch):
-    derived = []
-
-    def keep(cg, _derive=family.derive_embedding):
-        derived.append(_derive(cg))
-        return derived[-1]
-
-    monkeypatch.setattr(family, "derive_embedding", keep)
-    p = FamilyParameter(2)
-    assert family.verify_pair(build_pair(p), p).passed
-    assert len(derived) == 2
-    assert not any("graph" in vars(rs) for rs in derived)
