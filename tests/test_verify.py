@@ -255,6 +255,15 @@ def test_family_commands_certify_halves_from_the_log(monkeypatch, argv, capsys):
     assert calls == {}
 
 
+def test_family_verify_validates_and_traces_each_half_once(counted, monkeypatch, capsys):
+    # each half is certified once, from its circuit log; the row tracer,
+    # the phi over darts and the connectivity scan are never reached
+    logs = count_calls(monkeypatch, ("certify_log",))
+    assert cli.main(["family", "verify", "--s", "2"]) == 0
+    assert logs == {"certify_log": 2}
+    assert counted == {}
+
+
 def test_current_classes_computed_once_per_current_graph(monkeypatch, capsys):
     made = []
 
@@ -300,3 +309,16 @@ def test_certifier_builds_no_edge_set(monkeypatch, tmp_path, capsys):
     assert cli.main(["derive", "--current-graph", str(half)]) == 0
     assert cli.main(["verify-table", "--rotation", str(table)]) == 0
     assert calls == {}
+
+
+def test_derived_halves_never_build_their_graph(monkeypatch):
+    # verify_pair derives no rows; the rows derive_embedding builds, as
+    # verify_biembedding certifies them, still build no edge set
+    calls = count_calls(monkeypatch, ("derive_embedding",))
+    p = FamilyParameter(2)
+    pair = build_pair(p)
+    assert family.verify_pair(pair, p).passed
+    assert calls == {}
+    derived = [derive_embedding(pair.first), derive_embedding(pair.second)]
+    assert verify_biembedding(*derived, p.n).passed
+    assert not any("graph" in vars(rs) for rs in derived)
