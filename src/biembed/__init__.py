@@ -38,7 +38,6 @@ from .graphs import (
     Graph,
     Permutation,
     apply_permutation,
-    circulant_is_connected,
     complement,
     is_antimorphism,
     is_connected,

@@ -37,7 +37,7 @@ from itertools import accumulate
 from math import gcd
 
 from .embeddings import HalfStats, RotationSystem
-from .graphs import DifferenceSet, circulant_is_connected, cycles, rows_in_label_order
+from .graphs import DifferenceSet, cycles, rows_in_label_order
 
 Dart = tuple[int, int]
 
@@ -219,7 +219,7 @@ def certify_derived(cg: CurrentGraph) -> HalfStats:
         raise ValueError(
             "current graph fails validation: " + "; ".join(cg.report.failures)
         )
-    if not circulant_is_connected(cg.classes):
+    if not cg.certificate.connected:
         raise ValueError(
             f"derived graph disconnected (the currents share a factor with {cg.n}): "
             "the result would be more than one triangulated surface"

@@ -17,10 +17,19 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MAX_PREC, Decimal, localcontext
 from importlib import resources
 
 from .currents import CurrentGraph, certify_derived
-from .graphs import Chains, DifferenceSet, backtrack
+from .graphs import (
+    Chains,
+    DifferenceSet,
+    SearchStats,
+    backtrack,
+    field_width,
+    pack,
+    partition_overlap,
+)
 from .verify import BiembeddingReport, biembedding_report, with_stages
 
 _TEMPLATE_RESOURCE = "family_template.json"
@@ -61,12 +70,10 @@ class CurrentPair:
             raise ValueError(
                 f"moduli differ: {self.first.n} vs {self.second.n}"
             )
-        n = self.first.n
-        x1, x2 = self.first.classes.x, self.second.classes.x
-        if x1 & x2:
-            raise ValueError(f"current sets overlap: {sorted(x1 & x2)}")
-        full = set(range(1, n // 2 + 1))
-        if (x1 | x2) != full:
+        overlap = partition_overlap(self.first.classes, self.second.classes)
+        if overlap:
+            raise ValueError(f"current sets overlap: {overlap}")
+        if overlap is not None:
             raise ValueError("current sets do not cover {1..⌊n/2⌋}")
 
 
@@ -196,15 +203,15 @@ def verify_pair(pair: CurrentPair, p: FamilyParameter) -> BiembeddingReport:
 
     Each half is certified from its circuit log (``certify_derived``), with
     no rows built.  The halves are the circulants on the current sets X₁, X₂
-    ⊆ {1..⌊n/2⌋}, so their edge sets partition E(K_n) exactly when X₁ ∩ X₂ = ∅
-    and |X₁| + |X₂| = ⌊n/2⌋.
+    ⊆ {1..⌊n/2⌋}, so their edge sets partition E(K_n) exactly when X₁ and X₂
+    partition {1..⌊n/2⌋}.
     """
     x1, x2 = current_sets(p)
     c1, c2 = pair.first.classes, pair.second.classes
     h1, h2 = certify_derived(pair.first), certify_derived(pair.second)
     if c1.n != p.n:
         raise ValueError(f"rotation systems on {c1.n} and {c2.n} vertices, expected {p.n}")
-    partition_ok = not (c1.x & c2.x) and len(c1.x) + len(c2.x) == p.n // 2
+    partition_ok = partition_overlap(c1, c2) is None
     report = biembedding_report(p.n, h1, h2, partition_ok)
     expected = family_genus(p.s)
     genus_ok = all(h.genus == expected for h in report.halves)
@@ -219,7 +226,8 @@ def verify_family(p: FamilyParameter) -> BiembeddingReport:
 
 
 def search_pair(
-    x1: DifferenceSet, x2: DifferenceSet, budget: int = 10_000_000
+    x1: DifferenceSet, x2: DifferenceSet, budget: int = 10_000_000,
+    stats: SearchStats | None = None,
 ) -> CurrentPair | None:
     """Backtracking reconstruction of a valid current-graph pair.
 
@@ -228,16 +236,19 @@ def search_pair(
     by construction), and the face is grown as a ``graphs.Chains``, which
     refuses any link that would close it early, so any completed assignment
     has exactly one face.  The driver is ``graphs.backtrack``, shared with
-    ``selfcomp.search_triangular``.  Deterministic: candidates are tried in
-    sorted order.  ``budget`` bounds the number of search nodes spent on
-    each half; exhaustion returns None, which says nothing about existence.
+    ``selfcomp.search_triangular``: it places next the element with the
+    fewest candidate successors left, and tries its triples in sorted
+    order, so runs are deterministic.  ``budget`` bounds the number of
+    search nodes spent on each half; exhaustion returns None, which says
+    nothing about existence.  Both halves' counters are added to ``stats``
+    when it is given.
     """
     if x1.n != x2.n:
         raise ValueError(f"moduli differ: {x1.n} vs {x2.n}")
-    n = x1.n
-    if x1.x & x2.x:
-        raise ValueError(f"current sets overlap: {sorted(x1.x & x2.x)}")
-    if (x1.x | x2.x) != set(range(1, n // 2 + 1)):
+    overlap = partition_overlap(x1, x2)
+    if overlap:
+        raise ValueError(f"current sets overlap: {overlap}")
+    if overlap is not None:
         raise ValueError("current sets must partition {1..⌊n/2⌋}")
     for x in (x1, x2):
         if len(x.x) % 3 != 0:
@@ -245,33 +256,70 @@ def search_pair(
                 f"current set of size {len(x.x)} admits no cubic current graph "
                 "(need 3 | |X|)"
             )
-    first = _search_half(x1, budget)
+    first = _search_half(x1, budget, stats)
     if first is None:
         return None
-    second = _search_half(x2, budget)
+    second = _search_half(x2, budget, stats)
     if second is None:
         return None
     return CurrentPair(first, second)
 
 
-def _search_half(x: DifferenceSet, budget: int) -> CurrentGraph | None:
+def _autocorrelation(elements: list[int], n: int, width: int) -> int:
+    """The packed counts |{y ∈ E : a − y ∈ E}|, a ∈ Z_n: the cyclic
+    self-convolution of E's indicator, squared as a decimal with k digits a
+    field (libmpdec multiplies by number-theoretic transform; int multiply
+    is Karatsuba).  No count reaches 10^k, so no field carries."""
+    k = len(str(len(elements)))
+    text = bytearray(b"0" * (n * k))
+    for e in elements:
+        text[-1 - e * k] = ord("1")  # field e is the e-th k digits from the right
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax = MAX_PREC, MAX_EMAX
+        square = Decimal(text.decode())
+        square = str(square * square).encode().rjust(2 * n * k, b"0")
+    size = width // 8
+    counts = 0
+    for half in (square[: n * k], square[n * k :]):  # fields a + n, fields a
+        for j in range(k):
+            digits = bytearray(n * size)
+            digits[::size] = half[j::k].translate(_DIGIT_VALUES)[::-1]
+            counts += int.from_bytes(digits, "little") * 10 ** (k - 1 - j)
+    return counts
+
+
+_DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
+
+
+def _search_half(x: DifferenceSet, budget: int, stats: SearchStats | None) -> CurrentGraph | None:
     n = x.n
     elements = sorted(x.x | {n - d for d in x.x})
-    after = {e: i + 1 for i, e in enumerate(elements)}
+    member = [0] * n
+    for e in elements:
+        member[e] = 1
     # the face takes a -> -b for each oriented triple (a, b, c), in one cycle
-    # through all elements; an element is placed once it has a successor
-    chains = Chains([0] * n, [len(elements)])
+    # through all elements; an element is placed once it has a successor.
+    # Its candidates are the y in E with a - y in E, so a link to y lowers
+    # the counts of y + E: E's indicator rotated by y
+    width = field_width(len(elements))
+    indicator = pack(member, width)
+    twice = indicator | indicator << width * n
+    mask = (1 << width * n) - 1
+    covered = (pack([1] * n, width) - indicator) << width - 1
+    counts = _autocorrelation(elements, n, width) + covered
+    chains = Chains([0] * n, [len(elements)], counts,
+                    lambda y: twice >> width * (n - y) & mask, width)
     succ = chains.succ
 
     def moves(a: int):
-        for b in elements[after[a]:]:
-            if succ[b] < 0:
+        for b in elements:
+            if succ[b] < 0 and b != a:
                 c = (-a - b) % n
-                if c > b and c in after and succ[c] < 0:
+                if b < c and c != a and member[c] and succ[c] < 0:
                     yield (a, n - b), (b, n - c), (c, n - a)
                     yield (a, n - c), (c, n - b), (b, n - a)
 
-    made = backtrack(chains, elements, moves, budget)
+    made = backtrack(chains, moves, budget, stats)
     if made is None:
         return None
     # vertex i is the i-th triple (a, b, c), linked in that order; its arcs

@@ -6,8 +6,9 @@ and serialize deterministically.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
-from math import gcd
 
 
 @dataclass(frozen=True)
@@ -63,6 +64,16 @@ class DifferenceSet:
                     f"difference {d} equals n/2 for even modulus {self.n}; "
                     "the two directions coincide"
                 )
+
+
+def partition_overlap(x1: DifferenceSet, x2: DifferenceSet) -> list[int] | None:
+    """None when X₁ and X₂, over one modulus n, partition {1..⌊n/2⌋}; else
+    the labels they share, sorted, which is empty when they are disjoint but
+    leave a label out."""
+    shared = x1.x & x2.x
+    if not shared and len(x1.x) + len(x2.x) == x1.n // 2:
+        return None
+    return sorted(shared)
 
 
 def make_circulant(d: DifferenceSet) -> Graph:
@@ -139,6 +150,30 @@ def cycles(phi: list[int], starts):
         yield orbit
 
 
+def field_width(top: int) -> int:
+    """The fewest of 8, 16, 32, 64 bits whose top bit is above ``top``."""
+    return next(w for w in (8, 16, 32, 64) if top < 1 << (w - 1))
+
+
+def pack(values, width: int) -> int:
+    """One int holding values[i] in the ``width``-bit field i."""
+    fields = array(_TYPECODES[width], values)
+    if sys.byteorder == "big":
+        fields.byteswap()
+    return int.from_bytes(fields, "little")
+
+
+def unpack(packed: int, count: int, width: int) -> array:
+    """The ``count`` fields of ``pack``, as an array."""
+    fields = array(_TYPECODES[width], packed.to_bytes(count * width // 8, "little"))
+    if sys.byteorder == "big":
+        fields.byteswap()
+    return fields
+
+
+_TYPECODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
+
+
 class Chains:
     """A partial permutation on the items 0..len(group)-1, grown one link at
     a time and undone last link first.
@@ -147,32 +182,44 @@ class Chains:
     link that would close a cycle is refused unless the cycle holds all
     items of its group, so a group is paths until it is one full cycle.
     ``succ``/``pred`` are -1 where unset; at each end of a path, ``end``
-    holds the item at its other end.
+    holds the item at its other end.  ``taken`` and ``early`` count links
+    refused as taken and as closing a cycle early.
+
+    ``counts`` packs one ``width``-bit field per item: its count of
+    candidate successors without a predecessor, plus the top bit ``cover``
+    once it has a successor.  ``hit(b)`` packs a 1 for each item that has
+    b as a candidate, so a link moves every count in O(1) int operations.
     """
 
-    def __init__(self, group: list[int], size: list[int]) -> None:
+    def __init__(self, group: list[int], size: list[int], counts: int, hit, width: int) -> None:
         self.succ = [-1] * len(group)
         self.pred = [-1] * len(group)
         self.end = list(range(len(group)))
         self.group = group
         self.free = list(size)  # links each group can still take
         self.log: list[tuple[int, int, int, int]] = []
+        self.counts, self.hit, self.width = counts, hit, width
+        self.cover = 1 << (width - 1)
+        self.taken = self.early = 0
 
     def link(self, a: int, b: int) -> bool:
         """Make b the successor of a; False, changing nothing, if a already
         has a successor, b a predecessor, or the link closes a cycle that
         leaves out part of the group."""
         if self.succ[a] >= 0 or self.pred[b] >= 0:
+            self.taken += 1
             return False
         end = self.end
         s, e = end[a], end[b]  # the start of a's path, the end of b's
         if s == b and self.free[self.group[a]] > 1:
+            self.early += 1
             return False
         self.succ[a] = b
         self.pred[b] = a
         end[s] = e
         end[e] = s
         self.free[self.group[a]] -= 1
+        self.counts += (self.cover << self.width * a) - self.hit(b)
         self.log.append((a, b, s, e))
         return True
 
@@ -183,52 +230,100 @@ class Chains:
         self.end[s] = a
         self.end[e] = b
         self.free[self.group[a]] += 1
+        self.counts -= (self.cover << self.width * a) - self.hit(b)
+
+    def least(self) -> tuple[int, int]:
+        """The first item whose field is least, and that field: at least
+        ``cover`` once every item has a successor."""
+        if self.width == 8:  # a byte a field: find each value from 0 up, in C
+            data = self.counts.to_bytes(len(self.succ), "little")
+            for low in range(self.cover):
+                at = data.find(low)
+                if at >= 0:
+                    return at, low
+            return 0, self.cover
+        fields = unpack(self.counts, len(self.succ), self.width)
+        low = min(fields)
+        return fields.index(low), low
 
 
-def backtrack(chains: Chains, order: list[int], moves, budget: int):
+@dataclass
+class SearchStats:
+    """Counters of ``backtrack`` runs, summed: moves tried, links refused
+    (``Chains.taken``, ``Chains.early``), targets with a count of 0, the
+    most moves held at once, and whether a run hit its budget."""
+
+    nodes: int = 0
+    taken: int = 0
+    early: int = 0
+    dead_ends: int = 0
+    max_depth: int = 0
+    budget_hit: bool = False
+
+
+def backtrack(chains: Chains, moves, budget: int, stats: SearchStats | None = None):
     """Depth-first search for a full set of links, without recursion.
 
-    The target is the first item of ``order`` without a successor; each of
+    The target is the first item without a successor whose count is least
+    (Knuth's fewest-options rule, Dancing Links).  Each of
     ``moves(target)``, a sequence of (a, b) links, is tried in turn and
-    applied all or none.  Every move tried costs one node.  Returns the moves
-    made, in order, once every item of ``order`` has a successor; None when
-    the search is exhausted or would spend more than ``budget`` nodes;
-    raises ValueError unless ``budget`` is positive.
+    applied all or none.  Every move tried costs one node; a count of 0 is
+    a dead end that costs none.  No solution is lost while each count bounds
+    the item's moves whose links can all be made.  Returns the moves made,
+    in order, once every item has a successor; None when the search is
+    exhausted or would spend more than ``budget`` nodes; raises ValueError
+    unless ``budget`` is positive.  Adds the run's counters to ``stats``.
     """
     if budget < 1:
         raise ValueError(f"budget must be positive, got {budget}")
-    succ, log, link, unlink = chains.succ, chains.log, chains.link, chains.unlink
+    log, link, unlink, least = chains.log, chains.link, chains.unlink, chains.least
     made: list = []
-    frames: list = []  # (untried moves, target position) below each move made
-    nodes = pos = 0
-    while True:
-        while pos < len(order) and succ[order[pos]] >= 0:
-            pos += 1
-        if pos == len(order):
-            return made
-        tries = iter(moves(order[pos]))
+    frames: list = []  # the untried moves below each move made
+    nodes = dead_ends = depth = 0
+    over = False
+    try:
         while True:
-            move = next(tries, None)
-            if move is None:
-                if not made:
-                    return None
-                tries, pos = frames.pop()
-                for _ in made.pop():
-                    unlink()
-                continue
-            nodes += 1
-            if nodes > budget:
-                return None
-            mark = len(log)
-            for a, b in move:
-                if not link(a, b):
-                    while len(log) > mark:
-                        unlink()
-                    break
+            target, count = least()
+            if count >= chains.cover:
+                return made
+            if count:
+                tries = iter(moves(target))
             else:
-                break
-        frames.append((tries, pos))
-        made.append(move)
+                dead_ends += 1
+                tries = iter(())
+            while True:
+                move = next(tries, None)
+                if move is None:
+                    if not made:
+                        return None
+                    tries = frames.pop()
+                    for _ in made.pop():
+                        unlink()
+                    continue
+                if nodes == budget:
+                    over = True
+                    return None
+                nodes += 1
+                mark = len(log)
+                for a, b in move:
+                    if not link(a, b):
+                        while len(log) > mark:
+                            unlink()
+                        break
+                else:
+                    break
+            frames.append(tries)
+            made.append(move)
+            if len(made) > depth:
+                depth = len(made)
+    finally:
+        if stats is not None:
+            stats.nodes += nodes
+            stats.taken += chains.taken
+            stats.early += chains.early
+            stats.dead_ends += dead_ends
+            stats.max_depth = max(stats.max_depth, depth)
+            stats.budget_hit = stats.budget_hit or over
 
 
 def apply_permutation(g: Graph, p: Permutation) -> Graph:
@@ -286,11 +381,3 @@ def serialize_graph(g: Graph) -> str:
     lines = [str(g.n)]
     lines.extend(f"{u} {v}" for u, v in sorted(g.edges))
     return "\n".join(lines) + "\n"
-
-
-def circulant_is_connected(d: DifferenceSet) -> bool:
-    """gcd test: C(n, X) is connected iff gcd(X ∪ {n}) = 1."""
-    g = d.n
-    for x in d.x:
-        g = gcd(g, x)
-    return g == 1

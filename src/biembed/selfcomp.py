@@ -14,10 +14,22 @@ vertex pairs, and every orbit passes through a pair {0, x}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 
 from .embeddings import RotationSystem, parse_rotation_file
-from .graphs import Chains, Graph, Permutation, backtrack, cycles, is_antimorphism, make_graph
+from .graphs import (
+    Chains,
+    Graph,
+    Permutation,
+    SearchStats,
+    backtrack,
+    cycles,
+    field_width,
+    is_antimorphism,
+    make_graph,
+    pack,
+)
 from .verify import BiembeddingReport, verify_biembedding, with_stages
 
 FULL_CYCLE = "full-cycle"
@@ -145,18 +157,23 @@ def verify_table(r: RotationSystem, form: AntimorphismForm) -> BiembeddingReport
     )
 
 
-def search_triangular(g: Graph, budget: int = 200_000) -> RotationSystem | None:
+def search_triangular(
+    g: Graph, budget: int = 200_000, stats: SearchStats | None = None
+) -> RotationSystem | None:
     """Backtracking search for a triangular embedding of g.
 
     Faces are grown as oriented triangles; each placement fixes three
     rotation corners.  The rotation is a ``graphs.Chains`` on the darts,
     grouped by vertex, so a corner chain at a vertex may only close into a
     cycle once it uses the full degree.  The driver is ``graphs.backtrack``,
-    shared with ``family.search_pair``.  Arcs are attacked in a fixed order
-    (vertices sorted by descending degree), so runs are deterministic.
-    Returns None when the node budget runs out — that is not a proof of
+    shared with ``family.search_pair``: it closes next a face at the dart
+    with the fewest candidate successors left, where the candidates of
+    v -> u are the darts v -> w with w adjacent to both.  Its faces are
+    tried with w by descending degree, so runs are deterministic.  Returns
+    None when the node budget runs out — that is not a proof of
     nonexistence.  Raises immediately when 2|E| is not divisible by 3,
-    since a triangular embedding needs exactly 2|E|/3 faces.
+    since a triangular embedding needs exactly 2|E|/3 faces.  The run's
+    counters are added to ``stats`` when it is given.
     """
     arc_total = 2 * len(g.edges)
     if arc_total % 3 != 0:
@@ -176,13 +193,28 @@ def search_triangular(g: Graph, budget: int = 200_000) -> RotationSystem | None:
     rank = {v: i for i, v in enumerate(by_rank)}
     adj = [sorted(nbrs[v], key=rank.__getitem__) for v in range(g.n)]
 
-    # the darts v -> w, numbered by v and then in adj[v] order
-    owner = [v for v, row in enumerate(adj) for _ in row]
-    head = [w for row in adj for w in row]
+    # the darts v -> u, numbered by the rank of u and then of v: among the
+    # darts of least count, the search takes the lowest numbered
+    head = [u for u in by_rank for _ in adj[u]]
+    owner = [v for u in by_rank for v in adj[u]]
     dart: list[dict[int, int]] = [{} for _ in adj]
     for d, v in enumerate(owner):
         dart[v][head[d]] = d
-    chains = Chains(owner, [len(row) for row in adj])
+    width = field_width(max(map(len, adj)))
+
+    # a hit int is up to one field per dart long: the cache holds about 1 MB
+    @lru_cache(maxsize=max(1, (1 << 23) // (len(owner) * width)))
+    def hit(y: int) -> int:
+        # y is v -> w, a candidate of each v -> u with u adjacent to w
+        v, w = owner[y], head[y]
+        at_v = dart[v]
+        h = 0
+        for u in nbrs[v] & nbrs[w]:
+            h |= 1 << width * at_v[u]
+        return h
+
+    counts = pack([len(nbrs[v] & nbrs[u]) for v, u in zip(owner, head)], width)
+    chains = Chains(owner, [len(row) for row in adj], counts, hit, width)
 
     def moves(d: int):
         # d is v -> u, with no rotation successor yet: close a face u -> v -> w
@@ -191,13 +223,10 @@ def search_triangular(g: Graph, budget: int = 200_000) -> RotationSystem | None:
         return [
             ((d, at_v[w]), (dart[w][v], dart[w][u]), (at_u[w], at_u[v]))
             for w in adj[v]
-            if w != u and w in nbrs[u]
+            if w in nbrs[u]
         ]
 
-    # arcs (u, v) by rank of u, then of v; arc (u, v) is covered once the
-    # dart v -> u has a successor at v
-    order = [dart[v][u] for u in by_rank for v in adj[u]]
-    if backtrack(chains, order, moves, budget) is None:
+    if backtrack(chains, moves, budget, stats) is None:
         return None
     rows = [()] * g.n
     for orbit in cycles(chains.succ, range(len(owner))):

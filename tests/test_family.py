@@ -1,11 +1,12 @@
 import pytest
 
-from biembed.currents import current_classes, derive_embedding, validate_current_graph
+from biembed.currents import CurrentGraph, current_classes, derive_embedding, validate_current_graph
 from biembed.embeddings import surface_stats
 from biembed.family import (
     S_MAX,
     CurrentPair,
     FamilyParameter,
+    _autocorrelation,
     build_pair,
     current_sets,
     family_genus,
@@ -13,7 +14,7 @@ from biembed.family import (
     verify_family,
     verify_pair,
 )
-from biembed.graphs import DifferenceSet
+from biembed.graphs import DifferenceSet, SearchStats, field_width, unpack
 from biembed.verify import bigenus_lower_bound, render_report, verify_biembedding, with_stages
 
 
@@ -103,6 +104,11 @@ def test_search_pair_preconditions():
             DifferenceSet(13, frozenset({1, 2, 3})),
             DifferenceSet(13, frozenset({4, 5})),
         )
+    with pytest.raises(ValueError, match=r"current sets overlap: \[3\]"):
+        search_pair(
+            DifferenceSet(13, frozenset({1, 2, 3})),
+            DifferenceSet(13, frozenset({3, 4, 5, 6})),
+        )
     with pytest.raises(ValueError, match="cubic"):
         search_pair(
             DifferenceSet(13, frozenset({1, 2})),
@@ -114,6 +120,11 @@ def test_current_pair_invariants():
     pair = build_pair(FamilyParameter(1))
     with pytest.raises(ValueError, match="overlap"):
         CurrentPair(pair.first, pair.first)
+    # a theta carrying 4, 8 and 25 = -12: disjoint from the first set, but
+    # leaves most labels out
+    theta = CurrentGraph(37, (((1, 33), (1, 29), (1, 12)), ((0, 4), (0, 8), (0, 25))))
+    with pytest.raises(ValueError, match="do not cover"):
+        CurrentPair(pair.first, theta)
     other = build_pair(FamilyParameter(2))
     with pytest.raises(ValueError, match="moduli"):
         CurrentPair(pair.first, other.second)
@@ -135,12 +146,33 @@ def test_search_pair_deep_search_does_not_recurse():
 
 def test_search_pair_least_budget_is_pinned():
     # node-for-node semantics: a change to candidate order or node counting
-    # moves this threshold
+    # moves this threshold and the counters
     p = FamilyParameter(2)
-    assert search_pair(*current_sets(p), budget=22_712) is None
-    pair = search_pair(*current_sets(p), budget=22_713)
+    assert search_pair(*current_sets(p), budget=25) is None
+    stats = SearchStats()
+    pair = search_pair(*current_sets(p), budget=26, stats=stats)
     assert pair is not None
     assert verify_pair(pair, p).passed
+    # both halves: 26 + 14 nodes, 8 + 3 links refused as early cycles
+    assert stats == SearchStats(nodes=40, early=11, max_depth=10)
+
+
+def test_search_pair_s3_least_budget_is_pinned():
+    # the second half takes 64,268 nodes, the first 958
+    p = FamilyParameter(3)
+    assert search_pair(*current_sets(p), budget=64_267) is None
+    pair = search_pair(*current_sets(p), budget=64_268)
+    assert pair is not None
+    assert verify_pair(pair, p).passed
+
+
+def test_search_pair_initial_counts_are_the_autocorrelation():
+    # the count of a is |{y ∈ E : a − y ∈ E}|; elements outside E start covered
+    for n, x in [(13, {1, 3, 4}), (37, set(range(1, 19))), (61, {2, 3, 5, 29, 30})]:
+        elements = sorted(x | {n - d for d in x})
+        width = field_width(len(elements))
+        want = [sum((a - y) % n in elements for y in elements) for a in range(n)]
+        assert list(unpack(_autocorrelation(elements, n, width), n, width)) == want
 
 
 @pytest.mark.parametrize("s", range(1, 11))

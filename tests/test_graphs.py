@@ -2,21 +2,26 @@ import random
 
 import pytest
 
+from biembed.currents import certify_log
 from biembed.graphs import (
     Chains,
     DifferenceSet,
     Permutation,
+    SearchStats,
     apply_permutation,
     backtrack,
-    circulant_is_connected,
     complement,
+    field_width,
     is_antimorphism,
     is_connected,
     make_circulant,
     make_complete,
     make_graph,
+    pack,
     parse_graph_file,
+    partition_overlap,
     serialize_graph,
+    unpack,
 )
 
 
@@ -94,6 +99,7 @@ def test_is_connected_edge_cases():
 
 
 def test_connectivity_matches_gcd_rule():
+    # the certificate's rule: C(n, X) is connected iff gcd(X ∪ {n}) = 1
     rng = random.Random(5)
     for _ in range(60):
         n = rng.randint(3, 30)
@@ -103,7 +109,8 @@ def test_connectivity_matches_gcd_rule():
             continue
         x = frozenset(rng.sample(pool, min(size, len(pool))))
         d = DifferenceSet(n, x)
-        assert is_connected(make_circulant(d)) == circulant_is_connected(d)
+        log = tuple(sorted(x | {n - c for c in x}))
+        assert is_connected(make_circulant(d)) == certify_log(n, log).connected
 
 
 def test_permutation_validation_and_composition():
@@ -154,41 +161,147 @@ def test_graph_file_errors():
         parse_graph_file("abc\n0 1")
 
 
+def test_partition_overlap():
+    def overlap(n, x1, x2):
+        return partition_overlap(DifferenceSet(n, frozenset(x1)), DifferenceSet(n, frozenset(x2)))
+
+    assert overlap(13, {1, 3, 4}, {2, 5, 6}) is None
+    assert overlap(13, {1, 3, 4}, {2, 4, 5, 6}) == [4]
+    assert overlap(13, {1, 3, 4}, {2, 5}) == []
+    # n/2 is no difference for even n, so {1..n/2} cannot be covered
+    assert overlap(8, {1, 3}, {2}) == []
+
+
+def test_field_width_and_pack_round_trip():
+    assert [field_width(top) for top in (0, 127, 128, 2**15, 2**31 - 1)] == [8, 8, 16, 32, 32]
+    for width in (8, 16, 32, 64):
+        values = [0, 1, 2 ** (width - 1) - 1, 5]
+        packed = pack(values, width)
+        assert packed == sum(v << width * i for i, v in enumerate(values))
+        assert list(unpack(packed, len(values), width)) == values
+
+
+def chains_over(group, size, cands, width=8):
+    """Chains in which item i may take any successor in cands[i]."""
+
+    def hit(b):
+        return sum(1 << width * i for i, c in enumerate(cands) if b in c)
+
+    return Chains(group, size, pack([len(c) for c in cands], width), hit, width)
+
+
 def test_chains_refuse_early_closure_and_unlink_exactly():
-    chains = Chains([0, 0, 0, 0, 1], [4, 1])
+    chains = chains_over([0, 0, 0, 0, 1], [4, 1], [{1, 2, 3}, {0, 2}, {0, 3}, {0, 1}, {4}])
 
     def state():
-        return chains.succ[:], chains.pred[:], chains.end[:], chains.free[:]
+        return chains.succ[:], chains.pred[:], chains.end[:], chains.free[:], chains.counts
+
+    def fields():
+        return list(unpack(chains.counts, 5, chains.width))
 
     states = [state()]
+    assert fields() == [3, 2, 2, 2, 1]
     for a, b in ((1, 2), (0, 1), (2, 3)):
         assert chains.link(a, b)
         states.append(state())
+    # 1, 2 and 3 have predecessors, so each candidate left is 0 or 4; the
+    # top bit marks the items with a successor
+    assert fields() == [128, 128 + 1, 128 + 1, 1, 1]
+    assert chains.least() == (3, 1)
     # one path 0 -> 1 -> 2 -> 3, whose two ends name each other
     assert chains.end[0] == 3 and chains.end[3] == 0
     assert not chains.link(3, 1)  # 1 already has a predecessor
     assert not chains.link(1, 0)  # 1 already has a successor
     chains.unlink()
     assert not chains.link(2, 0)  # a 3-cycle in a group of 4 closes early
+    assert (chains.taken, chains.early) == (2, 1)
     assert state() == states[2]
     assert chains.link(2, 3) and chains.link(3, 0)  # the full 4-cycle closes
     assert chains.succ[:4] == [1, 2, 3, 0]
     full = state()
     assert chains.link(4, 4)  # and so does a group of one
+    assert chains.least()[1] >= chains.cover
     chains.unlink()
     assert state() == full
     for expected in reversed(states):
         chains.unlink()
         assert state() == expected
     assert not chains.log
+    assert fields() == [3, 2, 2, 2, 1]
 
 
 def test_backtrack_counts_every_move_tried():
-    # one group of three; each item may point at any item
+    # one group of three; each item may point at any item, so every count
+    # ties and the target is the first item without a successor
     def run(budget):
-        chains = Chains([0, 0, 0], [3])
-        return backtrack(chains, [0, 1, 2], lambda t: [((t, x),) for x in range(3)], budget)
+        chains = chains_over([0, 0, 0], [3], [{0, 1, 2}] * 3)
+        stats = SearchStats()
+        made = backtrack(chains, lambda t: [((t, x),) for x in range(3)], budget, stats)
+        return made, stats
 
-    # nodes: 0->0 refused, 0->1, 1->0 refused, 1->1 refused, 1->2, 2->0
-    assert run(5) is None
-    assert run(6) == [((0, 1),), ((1, 2),), ((2, 0),)]
+    # nodes: 0->0 early, 0->1, 1->0 early, 1->1 taken, 1->2, 2->0
+    assert run(5) == (None, SearchStats(5, 1, 2, 0, 2, True))
+    assert run(6) == ([((0, 1),), ((1, 2),), ((2, 0),)], SearchStats(6, 1, 2, 0, 3, False))
+
+
+@pytest.mark.parametrize("width", [8, 16])
+def test_backtrack_takes_the_least_count_and_stops_at_a_zero(width):
+    def run(cands):
+        chains = chains_over([0] * len(cands), [len(cands)], cands, width)
+        start, targets, stats = chains.counts, [], SearchStats()
+
+        def moves(t):
+            targets.append(t)
+            return [((t, x),) for x in sorted(cands[t])]
+
+        made = backtrack(chains, moves, 10, stats)
+        if made is None:
+            assert chains.counts == start and not chains.log
+        return made, targets, stats
+
+    # item 2 has one candidate, the others two; then 0, down to one, goes
+    # before 1, and 0 -> 1 is refused as 1 has its predecessor
+    assert run([{1, 2}, {0, 2}, {1}]) == (
+        [((2, 1),), ((0, 2),), ((1, 0),)], [2, 0, 1], SearchStats(4, 1, 0, 0, 3, False))
+    # once 0 -> 1 is made, 2 has no candidate left: a dead end, at no node
+    assert run([{1}, {2, 3}, {1}, {0, 2}]) == (None, [0], SearchStats(1, 0, 0, 1, 1, False))
+
+
+@pytest.mark.parametrize("case", ["K4", "K7", "octahedron", "table16", "s=1", "s=2"])
+def test_every_target_count_bounds_the_moves_it_can_make(monkeypatch, case):
+    # a count below the number of moves whose links can all be made would
+    # make the search skip a target it could still place, or lose a solution
+    from biembed import family, selfcomp
+
+    targets = []
+
+    def checking_backtrack(chains, moves, budget, stats=None):
+        def checked_moves(target):
+            tries = list(moves(target))
+            count = unpack(chains.counts, len(chains.succ), chains.width)[target]
+            assert (target, count) == chains.least()
+            possible = 0
+            for move in tries:
+                mark = len(chains.log)
+                possible += all(chains.link(a, b) for a, b in move)
+                while len(chains.log) > mark:
+                    chains.unlink()
+            assert possible <= count
+            targets.append(target)
+            return tries
+
+        return backtrack(chains, checked_moves, budget, stats)
+
+    monkeypatch.setattr(family, "backtrack", checking_backtrack)
+    monkeypatch.setattr(selfcomp, "backtrack", checking_backtrack)
+    if case.startswith("s="):
+        p = family.FamilyParameter(int(case[2:]))
+        pair = family.search_pair(*family.current_sets(p), 100)
+        assert family.verify_pair(pair, p).passed
+    else:
+        g = {"K4": lambda: make_complete(4), "K7": lambda: make_complete(7),
+             "octahedron": lambda: make_graph(6, [
+                 (u, v) for u in range(6) for v in range(u + 1, 6) if u // 2 != v // 2]),
+             "table16": lambda: selfcomp.load_bundled_table(16)[0].graph}[case]()
+        assert selfcomp.search_triangular(g, 3_000).certificate.triangular
+    assert targets

@@ -5,6 +5,7 @@ import pytest
 from biembed.embeddings import RotationSystem, surface_stats, trace_faces, validate_rotation
 from biembed.graphs import (
     Permutation,
+    SearchStats,
     apply_permutation,
     is_antimorphism,
     make_complete,
@@ -23,6 +24,7 @@ from biembed.selfcomp import (
     standard_antimorphism,
     verify_table,
 )
+from biembed.verify import bigenus_lower_bound
 
 
 def test_standard_antimorphism_shapes():
@@ -206,12 +208,45 @@ def test_search_edgeless_graph():
 def test_search_triangular_k7_least_budget_and_rotation_are_pinned():
     # node-for-node semantics: a change to candidate order or node counting
     # moves the threshold or the rotation found
-    assert search_triangular(make_complete(7), budget=45) is None
-    rs = search_triangular(make_complete(7), budget=46)
+    assert search_triangular(make_complete(7), budget=50) is None
+    rs = search_triangular(make_complete(7), budget=51)
     assert rs.rotation == (
         (1, 6, 5, 4, 3, 2), (0, 2, 4, 5, 3, 6), (0, 3, 5, 6, 4, 1), (0, 4, 6, 1, 5, 2),
         (0, 5, 1, 2, 6, 3), (0, 6, 2, 3, 1, 4), (0, 1, 3, 4, 2, 5),
     )
+
+
+@pytest.mark.parametrize("n,want", [
+    (16, SearchStats(nodes=2_845, taken=1_916, early=206, max_depth=40)),
+    (21, SearchStats(nodes=53_372, taken=35_173, early=5_798, max_depth=70)),
+])
+def test_search_triangular_table_graph_least_budget_is_pinned(n, want):
+    g = load_bundled_table(n)[0].graph
+    short, stats = SearchStats(), SearchStats()
+    assert search_triangular(g, want.nodes - 1, short) is None
+    assert short.nodes == want.nodes - 1 and short.budget_hit
+    rs = search_triangular(g, want.nodes, stats)
+    assert stats == want
+    assert rs.certificate.triangular and rs.certificate.genus == bigenus_lower_bound(n)
+
+
+@pytest.mark.parametrize("edges", [
+    [(u, v) for u in range(3) for v in range(3, 6)],  # K_{3,3}
+    [(v, (v + 1) % 6) for v in range(6)],  # C_6
+])
+def test_search_triangular_without_triangles_spends_no_node(edges):
+    # every dart's count is 0 at the root: no face can close anywhere
+    stats = SearchStats()
+    assert search_triangular(make_graph(6, edges), 1, stats) is None
+    assert stats == SearchStats(dead_ends=1)
+
+
+def test_search_triangular_octahedron():
+    # K_{2,2,2}: the opposite pairs are {0, 1}, {2, 3}, {4, 5}
+    g = make_graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6) if u // 2 != v // 2])
+    rs = search_triangular(g)
+    assert rs is not None
+    assert rs.certificate.triangular and rs.certificate.genus == 0
 
 
 def test_search_triangular_large_torus_does_not_recurse():
