@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from decimal import MAX_EMAX, MAX_PREC, Decimal, localcontext
 from importlib import resources
 
 from .currents import CurrentGraph, certify_derived
@@ -29,6 +28,8 @@ from .graphs import (
     field_width,
     pack,
     partition_overlap,
+    translates,
+    unpack,
 )
 from .verify import BiembeddingReport, biembedding_report, with_stages
 
@@ -265,27 +266,30 @@ def search_pair(
     return CurrentPair(first, second)
 
 
-def _autocorrelation(elements: list[int], n: int, width: int) -> int:
-    """The packed counts |{y ∈ E : a − y ∈ E}|, a ∈ Z_n: the cyclic
-    self-convolution of E's indicator, squared as a decimal with k digits a
-    field (libmpdec multiplies by number-theoretic transform; int multiply
-    is Karatsuba).  No count reaches 10^k, so no field carries."""
+def _autocorrelation(elements: list[int], n: int):
+    """The counts |{y ∈ E : a − y ∈ E}|, a ∈ Z_n: the cyclic self-convolution
+    of E's indicator, squared as a decimal with k digits a count (libmpdec
+    multiplies by number-theoretic transform; int multiply is Karatsuba).
+    No count reaches 10^k, so no count carries into the next."""
+    from decimal import MAX_EMAX, MAX_PREC, Decimal, localcontext
+
     k = len(str(len(elements)))
     text = bytearray(b"0" * (n * k))
     for e in elements:
-        text[-1 - e * k] = ord("1")  # field e is the e-th k digits from the right
+        text[-1 - e * k] = ord("1")  # count e is the e-th k digits from the right
     with localcontext() as ctx:
         ctx.prec, ctx.Emax = MAX_PREC, MAX_EMAX
         square = Decimal(text.decode())
         square = str(square * square).encode().rjust(2 * n * k, b"0")
-    size = width // 8
+    # digit j of every count at once, as packed fields: the counts a + n of
+    # the square's upper half wrap onto a
+    width = field_width(len(elements))
     counts = 0
-    for half in (square[: n * k], square[n * k :]):  # fields a + n, fields a
+    for half in (square[: n * k], square[n * k :]):
         for j in range(k):
-            digits = bytearray(n * size)
-            digits[::size] = half[j::k].translate(_DIGIT_VALUES)[::-1]
-            counts += int.from_bytes(digits, "little") * 10 ** (k - 1 - j)
-    return counts
+            digits = half[j::k].translate(_DIGIT_VALUES)[::-1]
+            counts += pack(list(digits), width) * 10 ** (k - 1 - j)
+    return unpack(counts, n, width)
 
 
 _DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
@@ -300,15 +304,10 @@ def _search_half(x: DifferenceSet, budget: int, stats: SearchStats | None) -> Cu
     # the face takes a -> -b for each oriented triple (a, b, c), in one cycle
     # through all elements; an element is placed once it has a successor.
     # Its candidates are the y in E with a - y in E, so a link to y lowers
-    # the counts of y + E: E's indicator rotated by y
-    width = field_width(len(elements))
-    indicator = pack(member, width)
-    twice = indicator | indicator << width * n
-    mask = (1 << width * n) - 1
-    covered = (pack([1] * n, width) - indicator) << width - 1
-    counts = _autocorrelation(elements, n, width) + covered
-    chains = Chains([0] * n, [len(elements)], counts,
-                    lambda y: twice >> width * (n - y) & mask, width)
+    # the counts of y + E; the items outside E are never placed
+    chains = Chains([0] * n, [len(elements)], _autocorrelation(elements, n),
+                    (a for a in range(n) if not member[a]))
+    chains.hit = translates(elements, n, chains.width)
     succ = chains.succ
 
     def moves(a: int):

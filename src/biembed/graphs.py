@@ -174,6 +174,24 @@ def unpack(packed: int, count: int, width: int) -> array:
 _TYPECODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
+def indicator(items, count: int, width: int) -> int:
+    """``pack`` of ``count`` fields: 1 for each of ``items``, 0 elsewhere."""
+    size = width // 8
+    flags = bytearray(count * size)
+    for i in items:
+        flags[i * size] = 1  # the low byte of field i
+    return int.from_bytes(flags, "little")
+
+
+def translates(items, count: int, width: int):
+    """y -> the ``indicator`` of items + y mod ``count``: the ``Chains.hit``
+    of a relation on Z_count that is invariant under translation."""
+    one = indicator(items, count, width)
+    twice = one | one << width * count
+    mask = (1 << width * count) - 1
+    return lambda y: twice >> width * (count - y) & mask
+
+
 class Chains:
     """A partial permutation on the items 0..len(group)-1, grown one link at
     a time and undone last link first.
@@ -185,21 +203,29 @@ class Chains:
     holds the item at its other end.  ``taken`` and ``early`` count links
     refused as taken and as closing a cycle early.
 
-    ``counts`` packs one ``width``-bit field per item: its count of
-    candidate successors without a predecessor, plus the top bit ``cover``
-    once it has a successor.  ``hit(b)`` packs a 1 for each item that has
-    b as a candidate, so a link moves every count in O(1) int operations.
+    Each item has a count: at first ``counts[i]``, the number of its
+    candidate successors, less one for each candidate that takes a
+    predecessor.  ``self.counts`` packs them in ``width``-bit fields, with
+    the top bit ``cover`` set in the field of each item that has a successor
+    or is listed in ``covered``, so ``least`` passes over those items.  The
+    caller sets ``hit(b)`` to the ``indicator`` of the items that have b as
+    a candidate, in fields ``width`` bits wide (``translates`` builds it for
+    a relation invariant under translation), so a link moves every count in
+    O(1) int operations.
     """
 
-    def __init__(self, group: list[int], size: list[int], counts: int, hit, width: int) -> None:
+    def __init__(self, group: list[int], size: list[int], counts, covered=()) -> None:
         self.succ = [-1] * len(group)
         self.pred = [-1] * len(group)
         self.end = list(range(len(group)))
         self.group = group
         self.free = list(size)  # links each group can still take
         self.log: list[tuple[int, int, int, int]] = []
-        self.counts, self.hit, self.width = counts, hit, width
-        self.cover = 1 << (width - 1)
+        self.width = field_width(max(counts, default=0))
+        self.cover = 1 << (self.width - 1)
+        covers = indicator(covered, len(group), self.width) << self.width - 1
+        self.counts = pack(counts, self.width) + covers
+        self.hit = None
         self.taken = self.early = 0
 
     def link(self, a: int, b: int) -> bool:

@@ -25,10 +25,9 @@ from .graphs import (
     SearchStats,
     backtrack,
     cycles,
-    field_width,
+    indicator,
     is_antimorphism,
     make_graph,
-    pack,
 )
 from .verify import BiembeddingReport, verify_biembedding, with_stages
 
@@ -200,21 +199,19 @@ def search_triangular(
     dart: list[dict[int, int]] = [{} for _ in adj]
     for d, v in enumerate(owner):
         dart[v][head[d]] = d
-    width = field_width(max(map(len, adj)))
+    counts = [len(nbrs[v] & nbrs[u]) for v, u in zip(owner, head)]
+    chains = Chains(owner, [len(row) for row in adj], counts)
+    darts, width = len(owner), chains.width
 
     # a hit int is up to one field per dart long: the cache holds about 1 MB
-    @lru_cache(maxsize=max(1, (1 << 23) // (len(owner) * width)))
+    @lru_cache(maxsize=max(1, (1 << 23) // (darts * width)))
     def hit(y: int) -> int:
         # y is v -> w, a candidate of each v -> u with u adjacent to w
         v, w = owner[y], head[y]
         at_v = dart[v]
-        h = 0
-        for u in nbrs[v] & nbrs[w]:
-            h |= 1 << width * at_v[u]
-        return h
+        return indicator((at_v[u] for u in nbrs[v] & nbrs[w]), darts, width)
 
-    counts = pack([len(nbrs[v] & nbrs[u]) for v, u in zip(owner, head)], width)
-    chains = Chains(owner, [len(row) for row in adj], counts, hit, width)
+    chains.hit = hit
 
     def moves(d: int):
         # d is v -> u, with no rotation successor yet: close a face u -> v -> w

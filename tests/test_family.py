@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from biembed.currents import CurrentGraph, current_classes, derive_embedding, validate_current_graph
@@ -14,7 +16,7 @@ from biembed.family import (
     verify_family,
     verify_pair,
 )
-from biembed.graphs import DifferenceSet, SearchStats, field_width, unpack
+from biembed.graphs import DifferenceSet, SearchStats
 from biembed.verify import bigenus_lower_bound, render_report, verify_biembedding, with_stages
 
 
@@ -139,9 +141,12 @@ def test_missing_template_reports_search_fallback(monkeypatch):
 
 
 def test_search_pair_deep_search_does_not_recurse():
-    # 802 triples per half: a search that recursed once per placement
-    # overflowed the interpreter stack here
-    assert search_pair(*current_sets(FamilyParameter(200)), budget=1500) is None
+    # 1,602 triples per half: the first half holds more placements at once
+    # than the interpreter's recursion limit, which a search that recursed
+    # once per placement would overflow
+    stats = SearchStats()
+    assert search_pair(*current_sets(FamilyParameter(400)), budget=1300, stats=stats) is None
+    assert stats.max_depth > sys.getrecursionlimit()
 
 
 def test_search_pair_least_budget_is_pinned():
@@ -168,11 +173,12 @@ def test_search_pair_s3_least_budget_is_pinned():
 
 def test_search_pair_initial_counts_are_the_autocorrelation():
     # the count of a is |{y ∈ E : a − y ∈ E}|; elements outside E start covered
-    for n, x in [(13, {1, 3, 4}), (37, set(range(1, 19))), (61, {2, 3, 5, 29, 30})]:
+    # 200 elements take 3 digits and 16-bit fields
+    for n, x in [(13, {1, 3, 4}), (37, set(range(1, 19))), (61, {2, 3, 5, 29, 30}),
+                 (401, set(range(1, 101)))]:
         elements = sorted(x | {n - d for d in x})
-        width = field_width(len(elements))
         want = [sum((a - y) % n in elements for y in elements) for a in range(n)]
-        assert list(unpack(_autocorrelation(elements, n, width), n, width)) == want
+        assert list(_autocorrelation(elements, n)) == want
 
 
 @pytest.mark.parametrize("s", range(1, 11))

@@ -12,6 +12,7 @@ from biembed.graphs import (
     backtrack,
     complement,
     field_width,
+    indicator,
     is_antimorphism,
     is_connected,
     make_circulant,
@@ -21,6 +22,7 @@ from biembed.graphs import (
     parse_graph_file,
     partition_overlap,
     serialize_graph,
+    translates,
     unpack,
 )
 
@@ -181,13 +183,40 @@ def test_field_width_and_pack_round_trip():
         assert list(unpack(packed, len(values), width)) == values
 
 
-def chains_over(group, size, cands, width=8):
+def chains_over(group, size, cands):
     """Chains in which item i may take any successor in cands[i]."""
+    chains = Chains(group, size, [len(c) for c in cands])
+    width = chains.width
+    chains.hit = lambda b: indicator((i for i, c in enumerate(cands) if b in c), len(cands), width)
+    return chains
 
-    def hit(b):
-        return sum(1 << width * i for i, c in enumerate(cands) if b in c)
 
-    return Chains(group, size, pack([len(c) for c in cands], width), hit, width)
+@pytest.mark.parametrize("top", [100, 1000])
+def test_chains_pack_counts_and_least_skips_covered_items(top):
+    # the fields are as wide as the largest count needs: 8 bits, then 16
+    chains = Chains([0] * 4, [4], [top, 2, 2, 5], covered=[1])
+    chains.hit = lambda b: indicator([3], 4, chains.width)  # every link lowers item 3
+    assert chains.width == (8 if top < 128 else 16)
+    assert chains.cover == 1 << chains.width - 1
+    start = chains.counts
+    assert list(unpack(start, 4, chains.width)) == [top, chains.cover + 2, 2, 5]
+    assert chains.least() == (2, 2)
+    assert chains.link(2, 0)
+    assert chains.least() == (3, 4)
+    assert chains.link(3, 2)
+    assert chains.least() == (0, top)
+    assert chains.link(0, 1)
+    assert chains.least()[1] >= chains.cover
+    for _ in range(3):
+        chains.unlink()
+    assert chains.counts == start
+
+
+@pytest.mark.parametrize("width", [8, 16])
+def test_translates_rotates_one_indicator(width):
+    assert indicator([0, 2], 5, width) == pack([1, 0, 1, 0, 0], width)
+    hit = translates([0, 2], 5, width)
+    assert [hit(y) for y in range(5)] == [indicator([y, (y + 2) % 5], 5, width) for y in range(5)]
 
 
 def test_chains_refuse_early_closure_and_unlink_exactly():
@@ -244,10 +273,9 @@ def test_backtrack_counts_every_move_tried():
     assert run(6) == ([((0, 1),), ((1, 2),), ((2, 0),)], SearchStats(6, 1, 2, 0, 3, False))
 
 
-@pytest.mark.parametrize("width", [8, 16])
-def test_backtrack_takes_the_least_count_and_stops_at_a_zero(width):
+def test_backtrack_takes_the_least_count_and_stops_at_a_zero():
     def run(cands):
-        chains = chains_over([0] * len(cands), [len(cands)], cands, width)
+        chains = chains_over([0] * len(cands), [len(cands)], cands)
         start, targets, stats = chains.counts, [], SearchStats()
 
         def moves(t):

@@ -1,3 +1,4 @@
+import gc
 from collections import Counter
 
 import pytest
@@ -166,6 +167,19 @@ def test_antimorphism_stage_agrees_with_is_antimorphism_on_seeded_graphs(form):
             assert _antimorphism_stage(rs, form) == expected
             outcomes[expected] += 1
     assert outcomes[True] > len(graphs) and outcomes[False] > 0
+
+
+def test_search_leaves_no_reference_cycle():
+    # a cycle through the Chains would keep each search's hit cache alive
+    # until the cyclic collector happens to run
+    g = load_bundled_table(16)[0].graph
+    gc.collect()
+    gc.disable()
+    try:
+        assert search_triangular(g, 1_000) is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_search_triangular_k4():
