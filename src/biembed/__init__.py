@@ -37,7 +37,6 @@ from .graphs import (
     DifferenceSet,
     Graph,
     Permutation,
-    apply_permutation,
     complement,
     is_antimorphism,
     is_connected,
@@ -50,7 +49,6 @@ from .graphs import (
 from .selfcomp import (
     AntimorphismForm,
     SeedNeighborhood,
-    biembed_from_selfcomp,
     build_from_seed,
     load_bundled_table,
     relabel,

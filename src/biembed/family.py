@@ -6,18 +6,15 @@ graph over Z_{24s+13}.  The two derived embeddings are triangular embeddings
 of complementary circulants, so together they biembed K_{24s+13} in genus
 24s² + 13s + 1, which meets the lower bound exactly.
 
-The current-graph pair comes from a parameterized template asset (a rim
-cycle on 4s+2 slots plus value-matched chords; see the data file for the
-encoding).  ``search_pair`` reconstructs a valid pair from scratch by
-backtracking and exists both as a fallback if the template asset is absent
-and as an independent witness that such pairs exist.
+The current-graph pair comes from a parameterized template, ``_template``:
+a rim cycle on 4s+2 slots plus value-matched chords.  ``search_pair``
+reconstructs a valid pair from scratch by backtracking, an independent
+witness that such pairs exist.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from importlib import resources
 
 from .currents import CurrentGraph, certify_derived
 from .graphs import (
@@ -32,8 +29,6 @@ from .graphs import (
     unpack,
 )
 from .verify import BiembeddingReport, biembedding_report, with_stages
-
-_TEMPLATE_RESOURCE = "family_template.json"
 
 # peak memory is linear in s, about 9 KB per unit on 64-bit CPython 3.11
 # (family verify peaks at 380 MB at s = 40,000), so s = S_MAX stays near 0.7 GB
@@ -106,38 +101,41 @@ def current_sets(p: FamilyParameter) -> tuple[DifferenceSet, DifferenceSet]:
     return DifferenceSet(n, frozenset(x1)), DifferenceSet(n, frozenset(x2))
 
 
-def _lin(form: list[int], s: int, k: int = 0) -> int:
-    value = form[0] + form[1] * s
-    if len(form) == 3:
-        value += form[2] * k
-    return value
+def _template(half: int, s: int) -> tuple[int, dict[int, int], set[int]]:
+    """The K_{24s+13} template: half 0 or 1 of the current-graph pair for s.
+
+    Each half is a Hamiltonian rim on slots 0..4s+1 plus a perfect matching
+    of chords, one chord end per slot.  Returns ``f0``, the current on rim
+    arc 0->1; ``deltas``, the chord current entering each slot (walking the
+    rim, the flow entering slot i+1 is f_i = f_{i-1} + delta_i); and the
+    bit-one slots, whose rotation places the chord before the outgoing rim
+    arc (all other slots place the outgoing rim arc first).  Chord partners
+    are implied by value: the slot with delta -d is the other end of the
+    chord carrying d.
+    """
+    if half == 0:
+        deltas = {0: 6, 1: -2 - 12 * s, 2: -6, 3: 2, 4: 8 + 6 * s, 4 * s + 1: -2}
+        for k in range(s - 1):
+            deltas[4 * k + 5] = 4 - 6 * s + 6 * k
+            deltas[4 * k + 6] = -8 - 6 * s - 6 * k
+            deltas[4 * k + 7] = 14 + 6 * s + 6 * k
+            deltas[4 * k + 8] = -4 + 6 * s - 6 * k
+        return 3 + 12 * s, deltas, {0, 1, 2, 3}
+    deltas = {0: 5 + 12 * s, 2 * s - 1: -4 - 12 * s, 2 * s: -6 - 12 * s,
+              4 * s - 1: -5 - 12 * s, 4 * s: 6 + 12 * s, 4 * s + 1: 4 + 12 * s}
+    for k in range(s - 1):
+        deltas[2 * k + 1] = 12 + 12 * k
+        deltas[2 * k + 2] = -18 - 12 * k
+        deltas[4 * s - 2 * k - 2] = -12 - 12 * k
+        deltas[4 * s - 2 * k - 3] = 18 + 12 * k
+    return -2 + 6 * s, deltas, {2 * k + 1 for k in range(s - 1)} | {4 * s + 1}
 
 
-def _rule_slots(rule: dict, s: int) -> list[tuple[int, int]]:
-    """Expand one template rule into (slot, k) instances for this s."""
-    if s < rule.get("s_min", 1):
-        return []
-    if s > rule.get("s_max", s):
-        return []
-    k_lo = _lin(rule["k_min"], s) if "k_min" in rule else 0
-    k_hi = _lin(rule["k_max"], s) if "k_max" in rule else 0
-    return [(_lin(rule["slot"], s, k), k) for k in range(k_lo, k_hi + 1)]
-
-
-def _instantiate_half(half: dict, s: int, n: int) -> CurrentGraph:
+def _instantiate_half(half: int, s: int, n: int) -> CurrentGraph:
     nv = 4 * s + 2
-    deltas: dict[int, int] = {}
-    for rule in half["deltas"]:
-        for slot, k in _rule_slots(rule, s):
-            if slot in deltas:
-                raise AssertionError(f"template places two chords at slot {slot}")
-            deltas[slot] = _lin(rule["value"], s, k)
+    f0, deltas, bit_one = _template(half, s)
     if sorted(deltas) != list(range(nv)):
         raise AssertionError("template does not cover every slot exactly once")
-
-    bit_one: set[int] = set()
-    for rule in half["bit_one_slots"]:
-        bit_one.update(slot for slot, _ in _rule_slots(rule, s))
 
     # chord partners are implied by value: slot j with delta -d ends the
     # chord carrying d
@@ -151,7 +149,7 @@ def _instantiate_half(half: dict, s: int, n: int) -> CurrentGraph:
 
     # walk the rim accumulating flows; f[i] is the current on rim arc i->i+1
     f = [0] * nv
-    f[0] = _lin(half["f0"], s) % n
+    f[0] = f0 % n
     for i in range(1, nv):
         f[i] = (f[i - 1] + deltas[i]) % n
     if (f[nv - 1] + deltas[0]) % n != f[0]:
@@ -170,22 +168,10 @@ def _instantiate_half(half: dict, s: int, n: int) -> CurrentGraph:
     return CurrentGraph(n, tuple(rows))
 
 
-def _load_template() -> dict:
-    try:
-        path = resources.files("biembed.data").joinpath(_TEMPLATE_RESOURCE)
-        return json.loads(path.read_text())
-    except (FileNotFoundError, ModuleNotFoundError):
-        raise RuntimeError(
-            "family template missing: reconstruct a pair with search_pair "
-            "(CLI: `family search --s <s>`)"
-        ) from None
-
-
 def build_pair(p: FamilyParameter) -> CurrentPair:
     """Instantiate the template for s, returning a validated CurrentPair."""
-    template = _load_template()
-    first = _instantiate_half(template["halves"][0], p.s, p.n)
-    second = _instantiate_half(template["halves"][1], p.s, p.n)
+    first = _instantiate_half(0, p.s, p.n)
+    second = _instantiate_half(1, p.s, p.n)
     pair = CurrentPair(first, second)
 
     x1, x2 = current_sets(p)

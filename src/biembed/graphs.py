@@ -352,17 +352,11 @@ def backtrack(chains: Chains, moves, budget: int, stats: SearchStats | None = No
             stats.budget_hit = stats.budget_hit or over
 
 
-def apply_permutation(g: Graph, p: Permutation) -> Graph:
-    if p.n != g.n:
-        raise ValueError(f"permutation size {p.n} does not match graph order {g.n}")
-    return make_graph(g.n, ((p(u), p(v)) for u, v in g.edges))
-
-
 def is_antimorphism(g: Graph, p: Permutation) -> bool:
     """True iff p maps g onto its edge-complement."""
     if p.n != g.n:
         raise ValueError(f"permutation size {p.n} does not match graph order {g.n}")
-    return apply_permutation(g, p) == complement(g)
+    return make_graph(g.n, ((p(u), p(v)) for u, v in g.edges)) == complement(g)
 
 
 def parse_graph_file(text: str) -> Graph:

@@ -126,15 +126,6 @@ def relabel(r: RotationSystem, p: Permutation) -> RotationSystem:
     return RotationSystem(tuple(rows))
 
 
-def biembed_from_selfcomp(
-    r: RotationSystem, p: Permutation
-) -> tuple[RotationSystem, RotationSystem]:
-    """Double a self-complementary embedding into a biembedding of K_n."""
-    if not is_antimorphism(r.graph, p):
-        raise ValueError("permutation is not an antimorphism of the embedded graph")
-    return r, relabel(r, p)
-
-
 def verify_table(r: RotationSystem, form: AntimorphismForm) -> BiembeddingReport:
     """Full certificate for a self-complementary triangular embedding.
 

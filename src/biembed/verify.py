@@ -70,18 +70,23 @@ def verify_biembedding(r1: RotationSystem, r2: RotationSystem, n: int) -> Biembe
     n1, n2 = len(r1.rotation), len(r2.rotation)
     if n1 != n or n2 != n:
         raise ValueError(f"rotation systems on {n1} and {n2} vertices, expected {n}")
-    # halves[u * n + v] has bit 1 (2) set when half 1 (2) lists the pair
-    # {u, v} at either end, as its ``graph`` does; self entries are skipped, so
-    # the n cells u = v stay 0, and a partition sets one bit in every other
-    halves = bytearray(n * n)
-    for bit, r in ((1, r1), (2, r2)):
-        for v, row in enumerate(r.rotation):
-            base = v * n
-            for w in row:
-                if w != v and 0 <= w < n:
-                    halves[base + w] |= bit
-                    halves[w * n + v] |= bit
-    partition_ok = halves.count(0) == n and 3 not in halves
+    # every pair needs an entry in some row, so rows holding fewer entries
+    # than pairs fail the partition without the n * n table
+    partition_ok = sum(map(len, r1.rotation + r2.rotation)) >= n * (n - 1) // 2
+    if partition_ok:
+        # halves[u * n + v] has bit 1 (2) set when half 1 (2) lists the pair
+        # {u, v} at either end, as its ``graph`` does; self entries are
+        # skipped, so the n cells u = v stay 0, and a partition sets one bit
+        # in every other
+        halves = bytearray(n * n)
+        for bit, r in ((1, r1), (2, r2)):
+            for v, row in enumerate(r.rotation):
+                base = v * n
+                for w in row:
+                    if w != v and 0 <= w < n:
+                        halves[base + w] |= bit
+                        halves[w * n + v] |= bit
+        partition_ok = halves.count(0) == n and 3 not in halves
     return biembedding_report(n, r1.certificate, r2.certificate, partition_ok)
 
 

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 import time
@@ -236,3 +237,16 @@ def test_repeated_runs_byte_identical():
     b = subprocess.run(cmd, capture_output=True)
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
+
+
+def test_cli_import_loads_neither_json_nor_decimal():
+    # both cost a process milliseconds to import; only the search's
+    # autocorrelation needs decimal, and it imports it when called
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    probe = "import sys; print(' '.join(m for m in ('json', 'decimal') if m in sys.modules))"
+    bare, loaded = (
+        subprocess.run([sys.executable, "-c", code + probe], env=env, capture_output=True, text=True)
+        for code in ("", "import biembed.cli; ")
+    )
+    assert bare.returncode == loaded.returncode == 0, loaded.stderr
+    assert loaded.stdout == bare.stdout

@@ -8,7 +8,6 @@ from biembed.graphs import (
     DifferenceSet,
     Permutation,
     SearchStats,
-    apply_permutation,
     backtrack,
     complement,
     field_width,
@@ -123,17 +122,9 @@ def test_permutation_validation_and_composition():
     assert [p(q(i)) for i in range(3)] == [q(p(i)) for i in range(3)] == [0, 1, 2]
 
 
-def test_apply_permutation_preserves_structure():
-    g = make_complete(4)
-    p = Permutation((2, 3, 0, 1))
-    assert apply_permutation(g, p) == g
-    tri = make_graph(3, [(0, 1), (1, 2), (0, 2)])
-    assert apply_permutation(tri, Permutation((1, 2, 0))) == tri
-
-
-def test_apply_permutation_size_mismatch():
-    with pytest.raises(ValueError):
-        apply_permutation(make_complete(3), Permutation((0, 1, 2, 3)))
+def test_is_antimorphism_size_mismatch():
+    with pytest.raises(ValueError, match="does not match graph order 3"):
+        is_antimorphism(make_complete(3), Permutation((0, 1, 2, 3)))
 
 
 def test_identity_is_never_an_antimorphism():
@@ -146,7 +137,8 @@ def test_antimorphism_square_is_automorphism():
     g = make_graph(4, [(0, 1), (1, 2), (2, 3)])
     sigma = Permutation((1, 3, 0, 2))
     assert is_antimorphism(g, sigma)
-    assert apply_permutation(apply_permutation(g, sigma), sigma) == g
+    square = Permutation(tuple(sigma(sigma(v)) for v in range(4)))
+    assert make_graph(4, ((square(u), square(v)) for u, v in g.edges)) == g
 
 
 def test_graph_file_round_trip():

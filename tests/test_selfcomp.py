@@ -7,7 +7,6 @@ from biembed.embeddings import RotationSystem, surface_stats, trace_faces, valid
 from biembed.graphs import (
     Permutation,
     SearchStats,
-    apply_permutation,
     is_antimorphism,
     make_complete,
     make_graph,
@@ -17,7 +16,6 @@ from biembed.selfcomp import (
     FULL_CYCLE,
     AntimorphismForm,
     SeedNeighborhood,
-    biembed_from_selfcomp,
     build_from_seed,
     load_bundled_table,
     relabel,
@@ -95,15 +93,14 @@ def test_relabel_size_mismatch():
 
 def test_biembed_from_selfcomp_partitions_k16():
     rs, form = load_bundled_table(16)
-    first, second = biembed_from_selfcomp(rs, standard_antimorphism(form))
-    assert first.graph.edges | second.graph.edges == make_complete(16).edges
-    assert not (first.graph.edges & second.graph.edges)
+    second = relabel(rs, standard_antimorphism(form))
+    assert rs.graph.edges | second.graph.edges == make_complete(16).edges
+    assert not (rs.graph.edges & second.graph.edges)
 
 
 def test_biembed_rejects_non_antimorphism():
     rs, _ = load_bundled_table(16)
-    with pytest.raises(ValueError, match="antimorphism"):
-        biembed_from_selfcomp(rs, Permutation(tuple(range(16))))
+    assert not is_antimorphism(rs.graph, Permutation(tuple(range(16))))
 
 
 @pytest.mark.parametrize("n,genus", [(16, 3), (21, 8), (24, 12)])
@@ -157,7 +154,7 @@ def test_antimorphism_stage_agrees_with_is_antimorphism_on_seeded_graphs(form):
         for i, j in [(0, 0), (0, 1), (1, n - 1), (0, 4), (2, 6)]:
             images = list(range(n))
             images[i], images[j] = j, i
-            h = apply_permutation(g, Permutation(tuple(images)))
+            h = make_graph(n, ((images[u], images[v]) for u, v in g.edges))
             rows = [[] for _ in range(n)]
             for u, v in sorted(h.edges):
                 rows[u].append(v)

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from importlib import resources
@@ -146,6 +147,47 @@ def test_invalid_rotation_leaves_faces_blank():
     assert "half 1 faces: -" in text
     assert "half 1 genus: -" in text
     assert "result: FAIL" in text
+
+
+SPARSE_TABLE_REPORT = """\
+n: 10000
+residue class 0/13/16/21 mod 24: yes
+bound value: 4161251
+""" + "".join(f"""\
+half {i} edges: 0
+half {i} faces: 0
+half {i} genus: -
+half {i} triangular: yes
+half {i} connected: no
+half {i} isolated vertices: 10000
+""" for i in (1, 2)) + """\
+partition ok: no
+achieves bound: no
+stage rotation valid: pass
+stage self-complementary under σ: FAIL
+stage rotations valid: pass
+stage edge partition: FAIL
+stage halves connected: FAIL
+stage halves triangular: pass
+stage achieves bound: FAIL
+result: FAIL
+"""
+
+
+def test_verify_table_memory_follows_the_rows_not_n_squared(tmp_path, capsys):
+    # 10,000 empty rows list none of the ~5·10⁷ pairs: the partition fails
+    # without the 100 MB n * n table
+    table = tmp_path / "empty.rot"
+    table.write_text("".join(f"{v}.\n" for v in range(10_000)))
+    tracemalloc.start()
+    try:
+        code = cli.main(["verify-table", "--rotation", str(table)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert capsys.readouterr().out == SPARSE_TABLE_REPORT
+    assert peak < 10 * 2**20
 
 
 def test_render_report_stable_and_ordered():
