@@ -24,7 +24,9 @@ length L·n/gcd(n, S).  ``certify_log`` counts them in O(|log|), kept as
 Storage: ``rows[v]`` lists ``(neighbor, current)`` pairs in rotation order,
 where ``current`` in 1..n-1 is the value carried by the arc leaving v.  The
 same edge therefore shows up at its other endpoint with the negated current.
-Arcs are addressed as (vertex, slot) pairs, so parallel edges are fine.
+Arcs are int darts: dart ``off[v] + i`` is arc i of row v, so parallel edges
+are fine.  The k-th arc v->w carrying c, in row order, pairs with the k-th
+arc w->v carrying -c; an arc left over has no reverse and is an error.
 """
 
 from __future__ import annotations
@@ -33,13 +35,10 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 from math import gcd
 
 from .embeddings import HalfStats, RotationSystem
 from .graphs import DifferenceSet, cycles, rows_in_label_order
-
-Dart = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -61,7 +60,7 @@ class CurrentGraph:
         self.faces  # raises if arcs do not pair up with negated reverses
 
     @cached_property
-    def faces(self) -> list[list[Dart]]:
+    def faces(self) -> list[list[int]]:
         """The faces as darts, traced once, as frozen tuples cannot change."""
         return _face_orbits(self)
 
@@ -82,10 +81,6 @@ class CurrentGraph:
         """certify_log(n, circuit_log(self)): the derived half's certificate."""
         return certify_log(self.n, circuit_log(self))
 
-    @property
-    def edge_count(self) -> int:
-        return sum(len(row) for row in self.rows) // 2
-
 
 @dataclass(frozen=True)
 class CurrentGraphReport:
@@ -100,38 +95,29 @@ class CurrentGraphReport:
         return self.one_face and self.cubic and self.kirchhoff and self.distinct_currents
 
 
-def _twin_map(cg: CurrentGraph) -> dict[Dart, Dart]:
-    """Pair every arc (v, slot) with its reverse arc carrying the negation."""
-    twins: dict[Dart, Dart] = {}
+def _face_orbits(cg: CurrentGraph) -> list[list[int]]:
+    """Faces of the embedding as darts: after an arc, take the rotation
+    successor of its reverse at the head vertex."""
+    n, off, phi = cg.n, [0], [0] * sum(map(len, cg.rows))
+    # arcs still waiting for their reverse, oldest first, by (tail, head, current)
+    waiting: dict[tuple[int, int, int], list[int]] = {}
     for v, row in enumerate(cg.rows):
-        for i, (w, c) in enumerate(row):
-            if (v, i) in twins:
-                continue
-            want = (cg.n - c) % cg.n
-            match = None
-            for j, (u, d) in enumerate(cg.rows[w]):
-                if u == v and d == want and (w, j) not in twins and (w, j) != (v, i):
-                    match = (w, j)
-                    break
-            if match is None:
-                raise ValueError(
-                    f"arc {v}->{w} with current {c} has no reverse arc "
-                    f"carrying {want}"
-                )
-            twins[(v, i)] = match
-            twins[match] = (v, i)
-    return twins
-
-
-def _face_orbits(cg: CurrentGraph) -> list[list[Dart]]:
-    """Faces of the embedding: after an arc, take the rotation successor of
-    its reverse at the head vertex."""
-    twins = _twin_map(cg)
-    # dart (v, i) is number off[v] + i, so darts in (v, i) order are 0, 1, ...
-    off = list(accumulate((len(row) for row in cg.rows), initial=0))
-    darts = [(v, i) for v, row in enumerate(cg.rows) for i in range(len(row))]
-    phi = [off[w] + (j + 1) % (off[w + 1] - off[w]) for w, j in map(twins.get, darts)]
-    return [[darts[i] for i in orbit] for orbit in cycles(phi, range(len(phi)))]
+        off.append(off[v] + len(row))
+        for d, (w, c) in enumerate(row, off[v]):
+            key = (w, v, n - c)
+            twins = waiting.get(key)
+            if twins:
+                t = twins.pop(0)
+                if not twins:
+                    del waiting[key]
+                phi[d] = t + 1 if t + 1 < off[w + 1] else off[w]
+                phi[t] = d + 1 if d + 1 < off[v + 1] else off[v]
+            else:
+                waiting.setdefault((v, w, c), []).append(d)
+    if waiting:
+        (v, w, c), _ = min(waiting.items(), key=lambda item: item[1][0])
+        raise ValueError(f"arc {v}->{w} with current {c} has no reverse arc carrying {n - c}")
+    return list(cycles(phi, range(len(phi))))
 
 
 def validate_current_graph(cg: CurrentGraph) -> CurrentGraphReport:
@@ -173,8 +159,8 @@ def circuit_log(cg: CurrentGraph) -> tuple[int, ...]:
     least current."""
     if len(cg.faces) != 1:
         raise ValueError(f"current graph embedding has {len(cg.faces)} faces, expected 1")
-    orbit = cg.faces[0]
-    currents = [cg.rows[v][i][1] for v, i in orbit]
+    current = [c for row in cg.rows for _, c in row]
+    currents = [current[d] for d in cg.faces[0]]
     k = currents.index(min(currents))
     return tuple(currents[k:] + currents[:k])
 

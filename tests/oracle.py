@@ -61,3 +61,63 @@ def random_rotation_data(rng: random.Random, max_n: int = 8):
         rng.shuffle(row)
         rows.append(tuple(row))
     return n, edges, rows
+
+
+def oracle_current_faces(n: int, rows) -> list[list[tuple[int, int]]]:
+    """Faces of a current graph as lists of (vertex, slot) arcs.
+
+    Each arc, in row order, takes as its reverse the first arc not yet
+    paired in its head's row that points back and carries the negated
+    current; an arc with none raises ValueError.  After an arc, a face goes
+    on with the rotation successor of its reverse.
+    """
+    twin: dict[tuple[int, int], tuple[int, int]] = {}
+    for v, row in enumerate(rows):
+        for i, (w, c) in enumerate(row):
+            if (v, i) in twin:
+                continue
+            want = (n - c) % n
+            for j, (u, d) in enumerate(rows[w]):
+                if u == v and d == want and (w, j) not in twin and (w, j) != (v, i):
+                    twin[(v, i)], twin[(w, j)] = (w, j), (v, i)
+                    break
+            else:
+                raise ValueError(
+                    f"arc {v}->{w} with current {c} has no reverse arc carrying {want}"
+                )
+    visited: set[tuple[int, int]] = set()
+    faces = []
+    for v, row in enumerate(rows):
+        for i in range(len(row)):
+            face = []
+            arc = (v, i)
+            while arc not in visited:
+                visited.add(arc)
+                face.append(arc)
+                w, j = twin[arc]
+                arc = (w, (j + 1) % len(rows[w]))
+            if face:
+                faces.append(face)
+    return faces
+
+
+def random_current_rows(rng: random.Random, max_n: int = 12, max_vertices: int = 5):
+    """A random current multigraph as (n, rows): loops, parallel edges with
+    equal currents and currents n/2 turn up often, and now and then one
+    arc's current is changed so that it may lose its reverse."""
+    n = rng.randint(2, max_n)
+    nv = rng.randint(1, max_vertices)
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(nv)]
+    for _ in range(rng.randint(0, 2 * nv)):
+        u, v = rng.randrange(nv), rng.randrange(nv)
+        c = n // 2 if rng.random() < 0.2 else rng.randint(1, n - 1)
+        for _ in range(2 if rng.random() < 0.2 else 1):
+            rows[u].append((v, c))
+            rows[v].append((u, n - c))
+    for row in rows:
+        rng.shuffle(row)
+    arcs = [(v, i) for v, row in enumerate(rows) for i in range(len(row))]
+    if arcs and rng.random() < 0.15:
+        v, i = rng.choice(arcs)
+        rows[v][i] = (rows[v][i][0], rng.randint(1, n - 1))
+    return n, [tuple(row) for row in rows]

@@ -16,6 +16,7 @@ from biembed.currents import (
 from biembed.embeddings import RotationSystem, surface_stats, trace_faces
 from biembed.family import FamilyParameter, build_pair
 from biembed.graphs import DifferenceSet, make_circulant
+from oracle import oracle_current_faces, random_current_rows
 
 
 def theta_z7() -> CurrentGraph:
@@ -104,6 +105,25 @@ def test_two_face_current_graph_rejected_by_log():
 def test_unpaired_arc_rejected_at_construction():
     with pytest.raises(ValueError, match="reverse"):
         CurrentGraph(7, ((((1, 3), (1, 2), (1, 1))), (((0, 4), (0, 5), (0, 1)))))
+
+
+def test_face_trace_matches_the_oracle_scan_on_random_multigraphs():
+    rng = random.Random(20261019)
+    for _ in range(2000):
+        n, rows = random_current_rows(rng)
+        try:
+            want = oracle_current_faces(n, rows)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                CurrentGraph(n, tuple(rows))
+            assert str(got.value) == str(exc), (n, rows)
+            continue
+        cg = CurrentGraph(n, tuple(rows))
+        assert len(cg.faces) == len(want), (n, rows)
+        if len(want) == 1:
+            currents = [rows[v][i][1] for v, i in want[0]]
+            k = currents.index(min(currents))
+            assert circuit_log(cg) == tuple(currents[k:] + currents[:k]), (n, rows)
 
 
 def test_degree_violation_reported():

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from biembed import cli, family
 from biembed.currents import (
     CurrentGraph,
     current_classes,
@@ -65,7 +66,6 @@ def test_build_pair_s1():
         assert validate_current_graph(half).ok
         assert current_classes(half) == want
         assert len(half.rows) == 6  # 9 currents, cubic: 2*9/3 vertices
-        assert half.edge_count == 9
 
 
 def test_derived_half_is_k37_sized():
@@ -150,6 +150,27 @@ def test_current_pair_invariants():
     other = build_pair(FamilyParameter(2))
     with pytest.raises(ValueError, match="moduli"):
         CurrentPair(pair.first, other.second)
+
+
+def test_verify_pair_rejects_a_pair_over_another_modulus():
+    with pytest.raises(ValueError, match=r"^current graphs over Z_37, expected Z_61$"):
+        verify_pair(build_pair(FamilyParameter(1)), FamilyParameter(2))
+
+
+def test_broken_template_fails_as_a_certificate(monkeypatch, capsys):
+    # half 0 with slot 2's chord after its outgoing rim arc: the rows still
+    # build, but the current graph has three faces
+    template = family._template
+
+    def flipped(half, s):
+        f0, deltas, bit_one = template(half, s)
+        return f0, deltas, (bit_one ^ {2} if half == 0 else bit_one)
+
+    monkeypatch.setattr(family, "_template", flipped)
+    assert cli.main(["family", "verify", "--s", "1"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: current graph fails validation: embedding has 3 faces, expected 1\n"
+    )
 
 
 def test_search_pair_deep_search_does_not_recurse():
