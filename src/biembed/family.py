@@ -15,20 +15,14 @@ witness that such pairs exist.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .currents import CurrentGraph, certify_derived
-from .graphs import (
-    Chains,
-    DifferenceSet,
-    SearchStats,
-    backtrack,
-    field_width,
-    pack,
-    partition_overlap,
-    translates,
-    unpack,
-)
+from .graphs import DifferenceSet, partition_overlap
 from .verify import BiembeddingReport, biembedding_report, with_stages
+
+if TYPE_CHECKING:
+    from .search import SearchStats
 
 # peak memory is linear in s, under 9 KB per unit on 64-bit CPython 3.11
 # (family verify peaks at 328 MB at s = 40,000 and at 608 MB at s = S_MAX)
@@ -207,9 +201,9 @@ def search_pair(
 
     Explores one-face cubic current graphs for each current set in turn:
     vertices are oriented zero-sum triples of arc currents (Kirchhoff holds
-    by construction), and the face is grown as a ``graphs.Chains``, which
+    by construction), and the face is grown as a ``search.Chains``, which
     refuses any link that would close it early, so any completed assignment
-    has exactly one face.  The driver is ``graphs.backtrack``, shared with
+    has exactly one face.  The driver is ``search.backtrack``, shared with
     ``selfcomp.search_triangular``: it places next the element with the
     fewest candidate successors left, and tries its triples in sorted
     order, so runs are deterministic.  ``budget`` bounds the number of
@@ -246,6 +240,8 @@ def _autocorrelation(elements: list[int], n: int):
     No count reaches 10^k, so no count carries into the next."""
     from decimal import MAX_EMAX, MAX_PREC, Decimal, localcontext
 
+    from .search import field_width, pack, unpack
+
     k = len(str(len(elements)))
     text = bytearray(b"0" * (n * k))
     for e in elements:
@@ -269,6 +265,8 @@ _DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
 
 
 def _search_half(x: DifferenceSet, budget: int, stats: SearchStats | None) -> CurrentGraph | None:
+    from .search import Chains, backtrack, translates
+
     n = x.n
     elements = sorted(x.x | {n - d for d in x.x})
     member = [0] * n
@@ -279,8 +277,8 @@ def _search_half(x: DifferenceSet, budget: int, stats: SearchStats | None) -> Cu
     # Its candidates are the y in E with a - y in E, so a link to y lowers
     # the counts of y + E; the items outside E are never placed
     chains = Chains([0] * n, [len(elements)], _autocorrelation(elements, n),
+                    lambda width: translates(elements, n, width),
                     (a for a in range(n) if not member[a]))
-    chains.hit = translates(elements, n, chains.width)
     succ = chains.succ
 
     def moves(a: int):

@@ -14,22 +14,16 @@ vertex pairs, and every orbit passes through a pair {0, x}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import partial
 from importlib import resources
+from typing import TYPE_CHECKING
 
 from .embeddings import RotationSystem, parse_rotation_file
-from .graphs import (
-    Chains,
-    Graph,
-    Permutation,
-    SearchStats,
-    backtrack,
-    cycles,
-    indicator,
-    is_antimorphism,
-    make_graph,
-)
+from .graphs import Graph, Permutation, cycles, is_antimorphism, make_graph
 from .verify import BiembeddingReport, verify_biembedding, with_stages
+
+if TYPE_CHECKING:
+    from .search import SearchStats
 
 FULL_CYCLE = "full-cycle"
 CYCLE_PLUS_FIXED_POINT = "cycle-plus-fixed-point"
@@ -153,17 +147,19 @@ def search_triangular(
     """Backtracking search for a triangular embedding of g.
 
     Faces are grown as oriented triangles; each placement fixes three
-    rotation corners.  The rotation is a ``graphs.Chains`` on the darts,
+    rotation corners.  The rotation is a ``search.Chains`` on the darts,
     grouped by vertex, so a corner chain at a vertex may only close into a
-    cycle once it uses the full degree.  The driver is ``graphs.backtrack``,
+    cycle once it uses the full degree.  The driver is ``search.backtrack``,
     shared with ``family.search_pair``: it closes next a face at the dart
     with the fewest candidate successors left, where the candidates of
     v -> u are the darts v -> w with w adjacent to both.  Its faces are
-    tried with w by descending degree, so runs are deterministic.  Returns
-    None when the node budget runs out — that is not a proof of
-    nonexistence.  Raises immediately when 2|E| is not divisible by 3,
-    since a triangular embedding needs exactly 2|E|/3 faces.  The run's
-    counters are added to ``stats`` when it is given.
+    tried with w by descending degree, so runs are deterministic, and only
+    those whose three corners are all free: no node is spent on a face
+    that ``Chains.place`` would refuse as taken.  Returns None when the
+    node budget runs out — that is not a proof of nonexistence.  Raises
+    immediately when 2|E| is not divisible by 3, since a triangular
+    embedding needs exactly 2|E|/3 faces.  The run's counters are added to
+    ``stats`` when it is given.
     """
     arc_total = 2 * len(g.edges)
     if arc_total % 3 != 0:
@@ -173,6 +169,8 @@ def search_triangular(
         )
     if not g.edges:
         return RotationSystem(tuple(() for _ in range(g.n)))
+
+    from .search import Chains, backtrack, indicator
 
     nbrs: list[set[int]] = [set() for _ in range(g.n)]
     for u, v in g.edges:
@@ -191,27 +189,25 @@ def search_triangular(
     for d, v in enumerate(owner):
         dart[v][head[d]] = d
     counts = [len(nbrs[v] & nbrs[u]) for v, u in zip(owner, head)]
-    chains = Chains(owner, [len(row) for row in adj], counts)
-    darts, width = len(owner), chains.width
 
-    # a hit int is up to one field per dart long: the cache holds about 1 MB
-    @lru_cache(maxsize=max(1, (1 << 23) // (darts * width)))
-    def hit(y: int) -> int:
+    def hit(width: int, y: int) -> int:
         # y is v -> w, a candidate of each v -> u with u adjacent to w
         v, w = owner[y], head[y]
-        at_v = dart[v]
-        return indicator((at_v[u] for u in nbrs[v] & nbrs[w]), darts, width)
+        return indicator((dart[v][u] for u in nbrs[v] & nbrs[w]), len(owner), width)
 
-    chains.hit = hit
+    chains = Chains(owner, [len(row) for row in adj], counts, lambda width: partial(hit, width))
+    succ, pred = chains.succ, chains.pred
 
     def moves(d: int):
         # d is v -> u, with no rotation successor yet: close a face u -> v -> w
+        # if its five other dart ends are free, as place would refuse it else
         v, u = owner[d], head[d]
-        at_u, at_v = dart[u], dart[v]
-        return [
-            ((d, at_v[w]), (dart[w][v], dart[w][u]), (at_u[w], at_u[v]))
-            for w in adj[v]
-            if w in nbrs[u]
+        at_u, at_v, uv = dart[u], dart[v], dart[u][v]
+        return [] if pred[uv] >= 0 else [
+            ((d, vw), (wv, wu), (uw, uv))
+            for w in adj[v] if w in nbrs[u]
+            for vw, wv, wu, uw in [(at_v[w], dart[w][v], dart[w][u], at_u[w])]
+            if pred[vw] < 0 and succ[wv] < 0 and pred[wu] < 0 and succ[uw] < 0
         ]
 
     if backtrack(chains, moves, budget, stats) is None:

@@ -239,6 +239,16 @@ def test_repeated_runs_byte_identical():
     assert a.stdout == b.stdout
 
 
+def test_cli_import_does_not_load_the_search():
+    # only a search needs the backtracking core; it imports it when called
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    probe = "import sys; print('biembed.search' in sys.modules)"
+    loaded = subprocess.run([sys.executable, "-c", "import biembed.cli; " + probe],
+                            env=env, capture_output=True, text=True)
+    assert loaded.returncode == 0, loaded.stderr
+    assert loaded.stdout == "False\n"
+
+
 def test_cli_import_loads_neither_json_nor_decimal():
     # both cost a process milliseconds to import; only the search's
     # autocorrelation needs decimal, and it imports it when called

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import sys
 
@@ -24,7 +25,8 @@ from biembed.family import (
     verify_family,
     verify_pair,
 )
-from biembed.graphs import DifferenceSet, SearchStats
+from biembed.graphs import DifferenceSet
+from biembed.search import SearchStats
 from biembed.verify import bigenus_lower_bound, render_report, verify_biembedding, with_stages
 
 
@@ -182,6 +184,30 @@ def test_search_pair_deep_search_does_not_recurse():
     assert stats.max_depth > sys.getrecursionlimit()
 
 
+@pytest.mark.parametrize("s,digest", [
+    (1, "4f0614ced99a88fc2373ce42747d6647dfb789a8a58884c930895c406406f200"),
+    (2, "046ee67a54f33afab786313707299199c4eaa7a3b7e53c0704512e9294b75271"),
+    (3, "c18d8b12246f7ecbbc99ae8e1e408f292fac6a2822d511c3840146c86081bfa4"),
+])
+def test_search_pair_result_is_pinned(s, digest):
+    # both halves found, byte for byte: a faster search core finds the same pair
+    pair = search_pair(*current_sets(FamilyParameter(s)))
+    text = serialize_current_graph(pair.first) + serialize_current_graph(pair.second)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_search_pair_leaves_no_reference_cycle():
+    # a cycle through the Chains would keep each search's hit cache alive
+    # until the cyclic collector happens to run
+    gc.collect()
+    gc.disable()
+    try:
+        assert search_pair(*current_sets(FamilyParameter(3)), budget=500) is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_search_pair_least_budget_is_pinned():
     # node-for-node semantics: a change to candidate order or node counting
     # moves this threshold and the counters
@@ -193,6 +219,8 @@ def test_search_pair_least_budget_is_pinned():
     assert verify_pair(pair, p).passed
     # both halves: 26 + 14 nodes, 8 + 3 links refused as early cycles
     assert stats == SearchStats(nodes=40, early=11, max_depth=10)
+    # the halves' nodes, summed by the number of triples held
+    assert sum(stats.per_depth) == stats.nodes and len(stats.per_depth) <= stats.max_depth + 1
 
 
 def test_search_pair_s3_least_budget_is_pinned():

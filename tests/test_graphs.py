@@ -4,23 +4,25 @@ import pytest
 
 from biembed.currents import certify_log
 from biembed.graphs import (
-    Chains,
     DifferenceSet,
     Permutation,
-    SearchStats,
-    backtrack,
     complement,
-    field_width,
-    indicator,
     is_antimorphism,
     is_connected,
     make_circulant,
     make_complete,
     make_graph,
-    pack,
     parse_graph_file,
     partition_overlap,
     serialize_graph,
+)
+from biembed.search import (
+    Chains,
+    SearchStats,
+    backtrack,
+    field_width,
+    indicator,
+    pack,
     translates,
     unpack,
 )
@@ -177,30 +179,34 @@ def test_field_width_and_pack_round_trip():
 
 def chains_over(group, size, cands):
     """Chains in which item i may take any successor in cands[i]."""
-    chains = Chains(group, size, [len(c) for c in cands])
-    width = chains.width
-    chains.hit = lambda b: indicator((i for i, c in enumerate(cands) if b in c), len(cands), width)
-    return chains
+    return Chains(group, size, [len(c) for c in cands], lambda width: lambda b: indicator(
+        (i for i, c in enumerate(cands) if b in c), len(cands), width))
+
+
+def state(chains):
+    return (chains.succ[:], chains.pred[:], chains.end[:], chains.free[:], chains.counts,
+            chains.log[:])
 
 
 @pytest.mark.parametrize("top", [100, 1000])
 def test_chains_pack_counts_and_least_skips_covered_items(top):
-    # the fields are as wide as the largest count needs: 8 bits, then 16
-    chains = Chains([0] * 4, [4], [top, 2, 2, 5], covered=[1])
-    chains.hit = lambda b: indicator([3], 4, chains.width)  # every link lowers item 3
+    # the fields are as wide as the largest count needs: 8 bits, then 16;
+    # every link lowers item 3
+    chains = Chains([0] * 4, [4], [top, 2, 2, 5], lambda width: lambda b: indicator([3], 4, width),
+                    covered=[1])
     assert chains.width == (8 if top < 128 else 16)
     assert chains.cover == 1 << chains.width - 1
     start = chains.counts
     assert list(unpack(start, 4, chains.width)) == [top, chains.cover + 2, 2, 5]
     assert chains.least() == (2, 2)
-    assert chains.link(2, 0)
+    assert chains.place([(2, 0)])
     assert chains.least() == (3, 4)
-    assert chains.link(3, 2)
+    assert chains.place([(3, 2)])
     assert chains.least() == (0, top)
-    assert chains.link(0, 1)
+    assert chains.place([(0, 1)])
     assert chains.least()[1] >= chains.cover
     for _ in range(3):
-        chains.unlink()
+        chains.lift()
     assert chains.counts == start
 
 
@@ -214,41 +220,71 @@ def test_translates_rotates_one_indicator(width):
 def test_chains_refuse_early_closure_and_unlink_exactly():
     chains = chains_over([0, 0, 0, 0, 1], [4, 1], [{1, 2, 3}, {0, 2}, {0, 3}, {0, 1}, {4}])
 
-    def state():
-        return chains.succ[:], chains.pred[:], chains.end[:], chains.free[:], chains.counts
-
     def fields():
         return list(unpack(chains.counts, 5, chains.width))
 
-    states = [state()]
+    states = [state(chains)]
     assert fields() == [3, 2, 2, 2, 1]
     for a, b in ((1, 2), (0, 1), (2, 3)):
-        assert chains.link(a, b)
-        states.append(state())
+        assert chains.place([(a, b)])
+        states.append(state(chains))
     # 1, 2 and 3 have predecessors, so each candidate left is 0 or 4; the
     # top bit marks the items with a successor
     assert fields() == [128, 128 + 1, 128 + 1, 1, 1]
     assert chains.least() == (3, 1)
     # one path 0 -> 1 -> 2 -> 3, whose two ends name each other
     assert chains.end[0] == 3 and chains.end[3] == 0
-    assert not chains.link(3, 1)  # 1 already has a predecessor
-    assert not chains.link(1, 0)  # 1 already has a successor
-    chains.unlink()
-    assert not chains.link(2, 0)  # a 3-cycle in a group of 4 closes early
+    assert not chains.place([(3, 1)])  # 1 already has a predecessor
+    assert not chains.place([(1, 0)])  # 1 already has a successor
+    chains.lift()
+    assert not chains.place([(2, 0)])  # a 3-cycle in a group of 4 closes early
     assert (chains.taken, chains.early) == (2, 1)
-    assert state() == states[2]
-    assert chains.link(2, 3) and chains.link(3, 0)  # the full 4-cycle closes
+    assert state(chains) == states[2]
+    assert chains.place([(2, 3)]) and chains.place([(3, 0)])  # the full 4-cycle closes
     assert chains.succ[:4] == [1, 2, 3, 0]
-    full = state()
-    assert chains.link(4, 4)  # and so does a group of one
+    full = state(chains)
+    assert chains.place([(4, 4)])  # and so does a group of one
     assert chains.least()[1] >= chains.cover
-    chains.unlink()
-    assert state() == full
+    chains.lift()
+    assert state(chains) == full
     for expected in reversed(states):
-        chains.unlink()
-        assert state() == expected
+        chains.lift()
+        assert state(chains) == expected
     assert not chains.log
     assert fields() == [3, 2, 2, 2, 1]
+
+
+@pytest.mark.parametrize("move,refused", [
+    ([(0, 1), (1, 0)], "early"),  # the 2nd link closes a 2-cycle in a group of 4
+    ([(0, 1), (1, 1)], "taken"),  # 1 took its predecessor at the 1st link
+    ([(0, 1), (1, 2), (2, 0)], "early"),  # the 3rd link closes a 3-cycle
+    ([(0, 1), (1, 2), (2, 1)], "taken"),
+    ([(0, 1), (1, 2), (0, 3)], "taken"),  # 0 took its successor at the 1st link
+])
+def test_place_refused_at_a_later_link_changes_nothing(move, refused):
+    # the links made before the refused one are undone, last first
+    chains = chains_over([0, 0, 0, 0, 1, 1], [4, 2], [{1, 3}, {0, 1, 2}, {0, 1}, {0}, {5}, {4}])
+    assert chains.place([(4, 5)])
+    before = state(chains)
+    assert not chains.place(move)
+    assert state(chains) == before
+    assert {"taken": chains.taken, "early": chains.early} == {
+        "taken": refused == "taken", "early": refused == "early"}
+
+
+def test_lift_restores_the_state_before_place():
+    # a move of three links across two groups, joining and closing paths
+    chains = chains_over([0, 0, 0, 1, 1], [3, 2], [{1, 2}, {2}, {0}, {4}, {3}])
+    start = state(chains)
+    assert chains.place([(2, 0)])
+    one = state(chains)
+    assert chains.place([(0, 1), (3, 4), (1, 2)])  # the 3rd link closes group 0
+    assert chains.succ == [1, 2, 0, 4, -1] and chains.free == [0, 1]
+    assert chains.log[-1][0] == [(0, 1), (3, 4), (1, 2)]
+    chains.lift()
+    assert state(chains) == one
+    chains.lift()
+    assert state(chains) == start
 
 
 def test_backtrack_counts_every_move_tried():
@@ -262,7 +298,11 @@ def test_backtrack_counts_every_move_tried():
 
     # nodes: 0->0 early, 0->1, 1->0 early, 1->1 taken, 1->2, 2->0
     assert run(5) == (None, SearchStats(5, 1, 2, 0, 2, True))
-    assert run(6) == ([((0, 1),), ((1, 2),), ((2, 0),)], SearchStats(6, 1, 2, 0, 3, False))
+    made, stats = run(6)
+    assert (made, stats) == ([((0, 1),), ((1, 2),), ((2, 0),)], SearchStats(6, 1, 2, 0, 3, False))
+    # two nodes with no move held, three with one, one with two
+    assert stats.per_depth == [2, 3, 1, 0]
+    assert run(5)[1].per_depth == [2, 3, 0]
 
 
 def test_backtrack_takes_the_least_count_and_stops_at_a_zero():
@@ -291,7 +331,7 @@ def test_backtrack_takes_the_least_count_and_stops_at_a_zero():
 def test_every_target_count_bounds_the_moves_it_can_make(monkeypatch, case):
     # a count below the number of moves whose links can all be made would
     # make the search skip a target it could still place, or lose a solution
-    from biembed import family, selfcomp
+    from biembed import family, search, selfcomp
 
     targets = []
 
@@ -302,18 +342,16 @@ def test_every_target_count_bounds_the_moves_it_can_make(monkeypatch, case):
             assert (target, count) == chains.least()
             possible = 0
             for move in tries:
-                mark = len(chains.log)
-                possible += all(chains.link(a, b) for a, b in move)
-                while len(chains.log) > mark:
-                    chains.unlink()
+                if chains.place(move):
+                    possible += 1
+                    chains.lift()
             assert possible <= count
             targets.append(target)
             return tries
 
         return backtrack(chains, checked_moves, budget, stats)
 
-    monkeypatch.setattr(family, "backtrack", checking_backtrack)
-    monkeypatch.setattr(selfcomp, "backtrack", checking_backtrack)
+    monkeypatch.setattr(search, "backtrack", checking_backtrack)
     if case.startswith("s="):
         p = family.FamilyParameter(int(case[2:]))
         pair = family.search_pair(*family.current_sets(p), 100)

@@ -1,16 +1,12 @@
 import gc
+import hashlib
 from collections import Counter
 
 import pytest
 
 from biembed.embeddings import RotationSystem, surface_stats, trace_faces, validate_rotation
-from biembed.graphs import (
-    Permutation,
-    SearchStats,
-    is_antimorphism,
-    make_complete,
-    make_graph,
-)
+from biembed.graphs import Permutation, is_antimorphism, make_complete, make_graph
+from biembed.search import SearchStats
 from biembed.selfcomp import (
     CYCLE_PLUS_FIXED_POINT,
     FULL_CYCLE,
@@ -173,7 +169,7 @@ def test_search_leaves_no_reference_cycle():
     gc.collect()
     gc.disable()
     try:
-        assert search_triangular(g, 1_000) is None
+        assert search_triangular(g, 500) is None
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -219,8 +215,8 @@ def test_search_edgeless_graph():
 def test_search_triangular_k7_least_budget_and_rotation_are_pinned():
     # node-for-node semantics: a change to candidate order or node counting
     # moves the threshold or the rotation found
-    assert search_triangular(make_complete(7), budget=50) is None
-    rs = search_triangular(make_complete(7), budget=51)
+    assert search_triangular(make_complete(7), budget=14) is None
+    rs = search_triangular(make_complete(7), budget=15)
     assert rs.rotation == (
         (1, 6, 5, 4, 3, 2), (0, 2, 4, 5, 3, 6), (0, 3, 5, 6, 4, 1), (0, 4, 6, 1, 5, 2),
         (0, 5, 1, 2, 6, 3), (0, 6, 2, 3, 1, 4), (0, 1, 3, 4, 2, 5),
@@ -228,17 +224,30 @@ def test_search_triangular_k7_least_budget_and_rotation_are_pinned():
 
 
 @pytest.mark.parametrize("n,want", [
-    (16, SearchStats(nodes=2_845, taken=1_916, early=206, max_depth=40)),
-    (21, SearchStats(nodes=53_372, taken=35_173, early=5_798, max_depth=70)),
+    (16, SearchStats(nodes=901, early=178, max_depth=40)),
+    (21, SearchStats(nodes=17_134, early=4_733, max_depth=70)),
 ])
 def test_search_triangular_table_graph_least_budget_is_pinned(n, want):
+    # no face is tried that place would refuse as taken
     g = load_bundled_table(n)[0].graph
     short, stats = SearchStats(), SearchStats()
     assert search_triangular(g, want.nodes - 1, short) is None
     assert short.nodes == want.nodes - 1 and short.budget_hit
     rs = search_triangular(g, want.nodes, stats)
     assert stats == want
+    assert sum(stats.per_depth) == stats.nodes and len(stats.per_depth) <= stats.max_depth + 1
     assert rs.certificate.triangular and rs.certificate.genus == bigenus_lower_bound(n)
+
+
+@pytest.mark.parametrize("n,digest", [
+    (16, "3d75644cdcc250641e1611b288067f5b2f47c1c94759b61bb58008f629a81938"),
+    (21, "df742cdae4764d32720158d241d762f3759852eeb8685e43a2a4d7c8fd12cba6"),
+])
+def test_search_triangular_table_graph_rotation_is_pinned(n, digest):
+    # the rotation found, byte for byte, as first found at 2,845 and 53,372
+    # nodes: skipping the faces place would refuse leaves the tree as it was
+    rs = search_triangular(load_bundled_table(n)[0].graph, 2_000_000)
+    assert hashlib.sha256(repr(rs.rotation).encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("edges", [
