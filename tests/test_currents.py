@@ -5,6 +5,7 @@ import pytest
 from biembed.cli import main
 from biembed.currents import (
     CurrentGraph,
+    CurrentGraphReport,
     certify_log,
     circuit_log,
     current_classes,
@@ -16,7 +17,7 @@ from biembed.currents import (
 from biembed.embeddings import RotationSystem, surface_stats, trace_faces
 from biembed.family import FamilyParameter, build_pair
 from biembed.graphs import DifferenceSet, make_circulant
-from oracle import oracle_current_faces, random_current_rows
+from oracle import oracle_current_faces, oracle_current_report, random_current_rows
 
 
 def theta_z7() -> CurrentGraph:
@@ -126,6 +127,100 @@ def test_face_trace_matches_the_oracle_scan_on_random_multigraphs():
             assert circuit_log(cg) == tuple(currents[k:] + currents[:k]), (n, rows)
 
 
+def assert_report_matches_the_oracle(n: int, rows) -> None:
+    """Construction, the report and the classes agree with the oracle: the
+    same unpaired-arc message, or the same facts in the same failures."""
+    try:
+        want = oracle_current_report(n, rows)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            CurrentGraph(n, tuple(rows))
+        assert str(got.value) == str(exc), (n, rows)
+        return
+    cg = CurrentGraph(n, tuple(rows))
+    failures = []
+    if want["not_cubic"]:
+        failures.append(f"vertices {want['not_cubic']} do not have degree 3")
+    if want["faces"] != 1:
+        failures.append(f"embedding has {want['faces']} faces, expected 1")
+    failures += [f"currents entering vertex {v} sum to {e}, not 0" for v, e in want["unbalanced"]]
+    if want["repeated"]:
+        failures.append(f"currents {want['repeated']} repeat across edges (up to sign)")
+    assert validate_current_graph(cg) == CurrentGraphReport(
+        want["faces"] == 1, not want["not_cubic"], not want["unbalanced"], not want["repeated"],
+        tuple(failures),
+    ), (n, rows)
+    if n % 2 == 0 and n // 2 in want["classes"]:
+        with pytest.raises(ValueError, match="equals n/2"):
+            current_classes(cg)
+    else:
+        assert current_classes(cg).x == want["classes"], (n, rows)
+
+
+def test_report_matches_the_oracle_on_random_multigraphs():
+    # the inputs of the face-trace cross-check above: loops, parallel edges,
+    # repeated classes, n/2 currents and unpaired arcs
+    rng = random.Random(20261019)
+    for _ in range(2000):
+        assert_report_matches_the_oracle(*random_current_rows(rng))
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_report_matches_the_oracle_on_template_halves_with_a_flipped_current(s):
+    # flipped at one end, the arc loses its reverse; flipped at both ends,
+    # the faces stay and Kirchhoff fails at both endpoints
+    pair = build_pair(FamilyParameter(s))
+    for cg in (pair.first, pair.second):
+        n, rows = cg.n, [list(row) for row in cg.rows]
+        assert_report_matches_the_oracle(n, rows)
+        for v, row in enumerate(rows):
+            for i, (w, c) in enumerate(row):
+                one_end = [list(r) for r in rows]
+                one_end[v][i] = (w, n - c)
+                assert_report_matches_the_oracle(n, one_end)
+                j = rows[w].index((v, n - c))
+                both_ends = [list(r) for r in one_end]
+                both_ends[w][j] = (v, c)
+                assert_report_matches_the_oracle(n, both_ends)
+
+
+@pytest.mark.parametrize(
+    "rows, err",
+    [
+        ((((5, 1), (1, 2), (1, 4)), ((0, 3), (0, 5), (0, 6))), "vertex 0 lists unknown neighbor 5"),
+        ((((-1, 1),), ()), "vertex 0 lists unknown neighbor -1"),
+        ((((5, 9),), ()), "vertex 0 lists unknown neighbor 5"),  # the neighbor is checked first
+        ((((1, 7),), ((0, 0),)), "current 7 at vertex 0 outside 1..6"),
+        ((((1, 0),), ((0, 7),)), "current 0 at vertex 0 outside 1..6"),
+        # row 0's first arc has no reverse, but the range error in row 1 is named
+        ((((1, 1), (1, 2), (1, 3)), ((0, 3), (0, 5), (0, 9))), "current 9 at vertex 1 outside 1..6"),
+        ((((1, 1), (1, 2), (1, 3)), ((0, 3), (0, 5), (2, 6))), "vertex 1 lists unknown neighbor 2"),
+        ((((1, 1), (1, 2), (1, 3)), ((0, 3), (0, 5), (0, 4))),
+         "arc 0->1 with current 1 has no reverse arc carrying 6"),
+    ],
+)
+def test_range_errors_come_before_a_missing_reverse(rows, err):
+    with pytest.raises(ValueError) as got:
+        CurrentGraph(7, rows)
+    assert str(got.value) == err
+
+
+@pytest.mark.parametrize(
+    "rows, err",
+    [
+        ("0: (5,1) (1,2) (1,4)\n1: (0,-4) (0,-2) (0,-1)", "vertex 0 lists unknown neighbor 5"),
+        ("0: (1,1) (1,2) (1,3)\n1: (0,3) (0,5) (2,6)", "vertex 1 lists unknown neighbor 2"),
+    ],
+)
+def test_derive_names_a_range_error_on_one_line(tmp_path, capsys, rows, err):
+    # the parser reduces currents mod n and refuses 0, so of the two range
+    # errors only the neighbor's reaches the CLI
+    path = tmp_path / "bad.cur"
+    path.write_text(f"n 7\n{rows}\n")
+    assert main(["derive", "--current-graph", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
 def test_degree_violation_reported():
     cg = CurrentGraph(5, ((((1, 1)),), (((0, 4)),)))
     report = validate_current_graph(cg)
@@ -188,6 +283,13 @@ def test_current_graph_file_round_trip():
     assert parse_current_graph_file(text) == cg
     # signed convention: currents above n/2 print negative
     assert "(1,-1)" in text or "(0,-1)" in text
+    # the template fills the flat arrays itself; parsed rows are flattened
+    for s in (1, 2, 3):
+        pair = build_pair(FamilyParameter(s))
+        for half in (pair.first, pair.second):
+            parsed = parse_current_graph_file(serialize_current_graph(half))
+            assert parsed == half and parsed.rows == half.rows
+        assert pair.first != pair.second
 
 
 def test_current_graph_file_errors():

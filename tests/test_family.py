@@ -7,6 +7,7 @@ import pytest
 from biembed import cli, family
 from biembed.currents import (
     CurrentGraph,
+    circuit_log,
     current_classes,
     derive_embedding,
     serialize_current_graph,
@@ -28,6 +29,7 @@ from biembed.family import (
 from biembed.graphs import DifferenceSet
 from biembed.search import SearchStats
 from biembed.verify import bigenus_lower_bound, render_report, verify_biembedding, with_stages
+from oracle import oracle_faces
 
 
 def test_parameter_rejects_zero():
@@ -175,6 +177,20 @@ def test_broken_template_fails_as_a_certificate(monkeypatch, capsys):
     )
 
 
+def test_template_chord_without_a_partner_exits_2(monkeypatch, capsys):
+    # half 0's chord delta at slot 3 off by 6: no slot ends that chord, and
+    # the arc pass refuses the placeholder neighbor with one line
+    template = family._template
+
+    def shifted(half, s):
+        f0, deltas, bit_one = template(half, s)
+        return f0, ({**deltas, 3: deltas[3] + 6} if half == 0 else deltas), bit_one
+
+    monkeypatch.setattr(family, "_template", shifted)
+    assert cli.main(["family", "verify", "--s", "1"]) == 2
+    assert capsys.readouterr() == ("", "error: vertex 3 lists unknown neighbor -1\n")
+
+
 def test_search_pair_deep_search_does_not_recurse():
     # 1,602 triples per half: the first half holds more placements at once
     # than the interpreter's recursion limit, which a search that recursed
@@ -254,3 +270,19 @@ def test_verify_pair_matches_the_full_trace(s):
     genus_ok = all(h.genus == family_genus(s) for h in full.halves)
     want = with_stages(full, [("current sets match", sets_match), ("genus formula", genus_ok)])
     assert render_report(verify_pair(pair, p)) == render_report(want)
+
+
+@pytest.mark.parametrize("s", range(11, 21))
+def test_log_certificate_matches_the_oracle_trace(s):
+    # beyond the s the full trace above covers: the oracle's positional scan
+    # of the shifted rows, which shares no code with the package
+    n = FamilyParameter(s).n
+    pair = build_pair(FamilyParameter(s))
+    for cg in (pair.first, pair.second):
+        log = circuit_log(cg)
+        faces = oracle_faces({k: tuple((k + d) % n for d in log) for k in range(n)})
+        genus = (2 - (n - n * len(log) // 2 + len(faces))) // 2
+        cert = cg.certificate
+        assert (cert.faces, cert.triangular, cert.genus) == (
+            len(faces), all(len(f) == 3 for f in faces), genus
+        ), s

@@ -335,9 +335,9 @@ def test_parser_is_built_once_per_process(monkeypatch, capsys):
 
 
 def test_family_verify_validates_and_traces_each_current_graph_once(monkeypatch, capsys):
-    calls = count_calls(monkeypatch, ("validate_current_graph", "_face_orbits", "current_sets"))
+    calls = count_calls(monkeypatch, ("validate_current_graph", "_arc_pass", "current_sets"))
     assert cli.main(["family", "verify", "--s", "2"]) == 0
-    assert calls == {"validate_current_graph": 2, "_face_orbits": 2, "current_sets": 1}
+    assert calls == {"validate_current_graph": 2, "_arc_pass": 2, "current_sets": 1}
 
 
 def test_certifier_builds_no_edge_set(monkeypatch, tmp_path, capsys):
