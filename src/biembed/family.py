@@ -25,8 +25,9 @@ from .verify import BiembeddingReport, biembedding_report, with_stages
 if TYPE_CHECKING:
     from .search import SearchStats
 
-# peak memory is linear in s, under 6 KB per unit on 64-bit CPython 3.11
-# (family verify peaks at 224 MB at s = 40,000 and at 427 MB at s = S_MAX)
+# peak memory is linear in s, under 6 KB per unit on 64-bit CPython 3.11:
+# at s = S_MAX, family verify peaks at 414 MB and family search --budget 1
+# at 331 MB
 S_MAX = 75_000
 
 
@@ -43,7 +44,7 @@ class FamilyParameter:
         if self.s > S_MAX:
             raise ValueError(
                 f"family parameter s must be at most {S_MAX}, got {self.s} "
-                "(memory grows by about 9 KB per unit of s)"
+                "(memory grows by about 6 KB per unit of s)"
             )
 
     @property
@@ -84,16 +85,10 @@ def current_sets(p: FamilyParameter) -> tuple[DifferenceSet, DifferenceSet]:
     """
     s, n = p.s, p.n
     top = 12 * s + 6
-    x1 = {1, 6}
-    x2 = {6 * s + 2, 12 * s + 5}
-    for i in range(1, top + 1):
-        if i in x1 or i in x2:
-            continue
-        if i % 6 in (2, 3, 5):
-            x1.add(i)
-        else:
-            x2.add(i)
-    return DifferenceSet(n, frozenset(x1)), DifferenceSet(n, frozenset(x2))
+    swapped = frozenset((6 * s + 2, 12 * s + 5))  # residues 2 and 5
+    x1 = frozenset((1, 6)).union(range(2, top, 6), range(3, top, 6), range(5, top, 6)) - swapped
+    x2 = swapped.union(range(7, top, 6), range(4, top, 6), range(12, top + 1, 6))
+    return DifferenceSet(n, x1), DifferenceSet(n, x2)
 
 
 def _template(half: int, s: int) -> tuple[int, dict[int, int], set[int]]:
@@ -236,7 +231,7 @@ def _autocorrelation(elements: list[int], n: int):
     No count reaches 10^k, so no count carries into the next."""
     from decimal import MAX_EMAX, MAX_PREC, Decimal, localcontext
 
-    from .search import field_width, pack, unpack
+    from .search import field_width, unpack, widen
 
     k = len(str(len(elements)))
     text = bytearray(b"0" * (n * k))
@@ -253,7 +248,7 @@ def _autocorrelation(elements: list[int], n: int):
     for half in (square[: n * k], square[n * k :]):
         for j in range(k):
             digits = half[j::k].translate(_DIGIT_VALUES)[::-1]
-            counts += pack(list(digits), width) * 10 ** (k - 1 - j)
+            counts += widen(digits, width) * 10 ** (k - 1 - j)
     return unpack(counts, n, width)
 
 
@@ -261,21 +256,15 @@ _DIGIT_VALUES = bytes.maketrans(b"0123456789", bytes(range(10)))
 
 
 def _search_half(x: DifferenceSet, budget: int, stats: SearchStats | None) -> CurrentGraph | None:
-    from .search import Chains, backtrack, translates
+    from .search import ZeroSumChains, backtrack
 
     n = x.n
     elements = sorted(x.x | {n - d for d in x.x})
-    member = [0] * n
-    for e in elements:
-        member[e] = 1
     # the face takes a -> -b for each oriented triple (a, b, c), in one cycle
     # through all elements; an element is placed once it has a successor.
-    # Its candidates are the y in E with a - y in E, so a link to y lowers
-    # the counts of y + E; the items outside E are never placed
-    chains = Chains([0] * n, [len(elements)], _autocorrelation(elements, n),
-                    lambda width: translates(elements, n, width),
-                    (a for a in range(n) if not member[a]))
-    succ = chains.succ
+    # Its candidates are the y in E with a - y in E
+    chains = ZeroSumChains(n, elements, _autocorrelation(elements, n))
+    succ, member = chains.succ, chains.member
 
     def moves(a: int):
         for b in elements:

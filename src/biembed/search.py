@@ -33,13 +33,20 @@ def unpack(packed: int, count: int, width: int) -> array:
 _TYPECODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
+def widen(data, width: int) -> int:
+    """``pack`` of the byte values ``data``, with no Python-level loop."""
+    size = width // 8
+    fields = bytearray(len(data) * size)
+    fields[::size] = data  # the low byte of each field
+    return int.from_bytes(fields, "little")
+
+
 def indicator(items, count: int, width: int) -> int:
     """``pack`` of ``count`` fields: 1 for each of ``items``, 0 elsewhere."""
-    size = width // 8
-    flags = bytearray(count * size)
+    flags = bytearray(count)
     for i in items:
-        flags[i * size] = 1  # the low byte of field i
-    return int.from_bytes(flags, "little")
+        flags[i] = 1
+    return widen(flags, width)
 
 
 def translates(items, count: int, width: int):
@@ -62,7 +69,8 @@ class Chains:
     all items of its group, so a group is paths until it is one full cycle.
     ``succ``/``pred`` are -1 where unset; at each end of a path, ``end``
     holds the item at its other end.  ``taken`` and ``early`` count links
-    refused as taken and as closing a cycle early.
+    refused as taken and as closing a cycle early, and ``starved`` the moves
+    a subclass refuses once their links are made (``ZeroSumChains``).
 
     Each item has a count: at first ``counts[i]``, the number of its
     candidate successors, less one for each candidate that takes a
@@ -84,10 +92,14 @@ class Chains:
         self.log: list[tuple] = []  # (move, the ends joined by each link) per move
         self.width = field_width(max(counts, default=0))
         self.cover = 1 << (self.width - 1)
+        # 1 in every field, and the top bit of every field
+        self.ones = int.from_bytes((1).to_bytes(self.width // 8, "little") * len(group), "little")
+        self.highs = self.ones << self.width - 1
         covers = indicator(covered, len(group), self.width) << self.width - 1
         self.counts = pack(counts, self.width) + covers
         self.hit = lru_cache(max(1, (1 << 23) // (len(group) * self.width or 1)))(hits(self.width))
-        self.taken = self.early = 0
+        self.taken = self.early = self.starved = 0
+        self.low = 0  # the last least, where the next call starts
 
     def place(self, move) -> bool:
         """Make every link of ``move``, in order; False, changing nothing
@@ -138,26 +150,149 @@ class Chains:
             free[group[a]] += 1
 
     def least(self) -> tuple[int, int]:
-        """The first item whose field is least, and that field: at least
-        ``cover`` once every item has a successor."""
-        if self.width == 8:  # a byte a field: find each value from 0 up, in C
-            data = self.counts.to_bytes(len(self.succ), "little")
-            for low in range(self.cover):
+        """The first item whose field is least, and that field.
+
+        A byte a field: each value from 0 up is looked for in C.  Wider:
+        ``(counts - t * ones) & ~counts & highs`` flags the fields below t,
+        for t up to ``cover``.  Only a borrow from a flagged field can flag
+        the field above it wrongly, so the lowest flag is exact.  t gallops
+        from the last least, which a move or a lift shifts by little, then
+        bisects: a few int operations a call, where a pass over the fields
+        would unpack and scan every one.
+        """
+        counts, ones = self.counts, self.ones
+        if self.width == 8:
+            data = counts.to_bytes(len(self.succ), "little")
+            for low in range(256):
                 at = data.find(low)
                 if at >= 0:
                     return at, low
-            return 0, self.cover
-        fields = unpack(self.counts, len(self.succ), self.width)
-        low = min(fields)
-        return fields.index(low), low
+        clear = ~counts & self.highs  # the fields below cover
+        if not clear:  # every item covered: once a search, at its end
+            fields = unpack(counts, len(self.succ), self.width)
+            low = min(fields)
+            return fields.index(low), low
+
+        def below(t: int) -> int:
+            return (counts - t * ones) & clear
+
+        # gallop down, then up, to lo and hi with no field below lo and
+        # ``flags`` the fields below hi; then bisect
+        cover, step = self.cover, 1
+        lo, hi = self.low, min(self.low + 1, cover)
+        while lo and below(lo):
+            lo, hi, step = max(lo - step, 0), lo, 2 * step
+        while not (flags := below(hi)):
+            lo, hi, step = hi, min(hi + step, cover), 2 * step
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if fewer := below(mid):
+                hi, flags = mid, fewer
+            else:
+                lo = mid
+        self.low = lo
+        return (flags ^ flags - 1).bit_length() // self.width - 1, lo
+
+
+class ZeroSumChains(Chains):
+    """``Chains`` on the items Z_n, n odd, whose moves place zero-sum
+    triples of ``elements``, a set closed under negation; a move's link
+    tails are the three elements it places.  Items outside ``elements``
+    start covered.  ``counts`` are the candidate counts, which for a triple
+    search are the autocorrelation of ``elements``; a link to y lowers the
+    counts of y + ``elements``.
+
+    ``live`` packs, in the chains' fields, the live pairs of each unplaced
+    element a: the pairs {b, c} of unplaced elements with a + b + c ≡ 0,
+    b ≠ c, and b, c ≠ a.  Placing triples only takes pairs away, so an
+    element left with none can never be placed: ``place`` lifts such a move
+    again and counts it in ``starved`` (forward checking; Haralick and
+    Elliott, 1980).  The fields of the other items hold the cover bit.
+    """
+
+    def __init__(self, n: int, elements, counts) -> None:
+        member = bytearray(n)
+        for e in elements:
+            member[e] = 1
+        super().__init__(bytearray(n), [len(elements)], counts,  # one group
+                         lambda width: translates(elements, n, width))
+        w, half = self.width, (n + 1) // 2  # 2 * half ≡ 1
+        self.n, self.member, self.half = n, member, half
+        unplaced = widen(member, w)  # U, the elements without a successor
+        self.negated = unplaced | unplaced << w * n  # -U twice, as E = -E
+        # the ordered pairs of elements with b + c ≡ -a are counted at -a,
+        # which is counts[a] as E = -E; less b = c = -a/2, and b or c = a
+        # with the other -2a.  When 3a ≡ 0 these three are the one pair (a, a)
+        pairs = self.counts & unplaced * ((1 << w) - 1)
+        doubled = bytearray(n)  # 2E = -2E: field 2e is e's
+        doubled[::2], doubled[1::2] = member[:half], member[half:]
+        pairs -= widen(doubled, w) & unplaced
+        pairs -= 2 * (widen(member[::2] + member[1::2], w) & unplaced)  # E / 2
+        if n % 3 == 0:
+            for a in (n // 3, 2 * n // 3):
+                pairs += 2 * member[a] << w * a
+        outside = self.highs - (unplaced << w - 1)  # the cover bit
+        self.counts += outside
+        self.live = (pairs >> 1) + outside
+
+    def place(self, move) -> bool:
+        """``Chains.place``, then False, changing nothing but ``starved``,
+        if the move leaves an unplaced element with no live pair."""
+        if not super().place(move):
+            return False
+        self._shift(move, -1)
+        live = self.live
+        if (live - self.ones) & ~live & self.highs:  # some field is 0
+            self.lift()
+            self.starved += 1
+            return False
+        return True
+
+    def lift(self) -> None:
+        self._shift(self.log[-1][0], 1)
+        super().lift()
+
+    def _shift(self, move, sign: int) -> None:
+        """Take the elements ``move`` placed out of -U and the live pairs
+        they held out of ``live`` (sign -1, after ``Chains.place``), or put
+        them back (sign 1, before ``Chains.lift``).  Recomputed at each
+        lift: a logged delta is O(n) bytes per move held."""
+        w, n = self.width, self.n
+        if sign < 0:
+            self.negated -= self._negated(move)
+        # x in U loses the pair {a, -x-a} of each a placed when -x-a is in
+        # U: -U rotated by a.  For x in U no -x-a is another of the triple,
+        # so U after the move serves for all three
+        u = (~self.counts & self.highs) >> w - 1  # the fields below cover: U
+        twice, member, succ = self.negated, self.member, self.succ
+        lost = 0
+        for a, _ in move:
+            lost += (twice >> w * a & u) - (self.cover << w * a)
+            x = (n - a) * self.half % n  # -x-a is x itself: no pair
+            if member[x] and succ[x] < 0:
+                lost -= 1 << w * x
+        if sign < 0:
+            self.live -= lost
+        else:
+            self.live += lost
+            self.negated += self._negated(move)
+
+    def _negated(self, move) -> int:
+        """The fields of -U that the elements ``move`` places set, twice."""
+        w, n = self.width, self.n
+        bits = 0
+        for a, _ in move:
+            bits += 1 << w * (n - a)
+        return bits | bits << w * n
 
 
 @dataclass
 class SearchStats:
     """Counters of ``backtrack`` runs, summed: moves tried, links refused
     (``Chains.taken``, ``Chains.early``), targets with a count of 0, the
-    most moves held at once, whether a run hit its budget, and the moves
-    tried with d moves held, at index d."""
+    most moves held at once, whether a run hit its budget, moves refused
+    once their links were made (``Chains.starved``), and the moves tried
+    with d moves held, at index d."""
 
     nodes: int = 0
     taken: int = 0
@@ -165,6 +300,7 @@ class SearchStats:
     dead_ends: int = 0
     max_depth: int = 0
     budget_hit: bool = False
+    starved: int = 0
     per_depth: list[int] = field(default_factory=list, compare=False)
 
 
@@ -219,6 +355,7 @@ def backtrack(chains: Chains, moves, budget: int, stats: SearchStats | None = No
             stats.nodes += nodes
             stats.taken += chains.taken
             stats.early += chains.early
+            stats.starved += chains.starved
             stats.dead_ends += dead_ends
             stats.max_depth = max(stats.max_depth, len(per_depth) - 1)
             stats.budget_hit = stats.budget_hit or over

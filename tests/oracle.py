@@ -7,6 +7,7 @@ tracked in an explicit set.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 
@@ -151,3 +152,41 @@ def oracle_current_report(n: int, rows) -> dict:
         "classes": set(uses),
         "repeated": sorted(x for x, count in uses.items() if count != 2),
     }
+
+
+def oracle_one_face_triples(n: int, x) -> bool:
+    """Whether some cubic current graph over Z_n with current set x, one
+    edge for each d in x with arcs carrying d and -d, has exactly one face.
+
+    Brute force: the currents on the arcs out of one vertex are a zero-sum
+    triple, so split E = x ∪ -x into such triples in every way and give each
+    triple both cyclic orders.  A face leaves along arc c, comes back along
+    its reverse -c, and goes on with the arc after -c at that vertex.
+    """
+    elements = sorted({d % n for d in x} | {-d % n for d in x})
+
+    def splits(rest):
+        if not rest:
+            yield []
+            return
+        a, others = rest[0], rest[1:]
+        for i, b in enumerate(others):
+            for c in others[i + 1:]:
+                if (a + b + c) % n == 0:
+                    left = [e for e in others if e != b and e != c]
+                    for tail in splits(left):
+                        yield [(a, b, c), *tail]
+
+    for triples in splits(elements):
+        for flips in itertools.product((False, True), repeat=len(triples)):
+            after = {}
+            for (a, b, c), flip in zip(triples, flips):
+                order = (a, c, b) if flip else (a, b, c)
+                for i in range(3):
+                    after[order[i]] = order[(i + 1) % 3]
+            length, c = 1, after[-elements[0] % n]
+            while c != elements[0]:
+                length, c = length + 1, after[-c % n]
+            if length == len(elements):
+                return True
+    return False

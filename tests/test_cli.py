@@ -115,7 +115,7 @@ def test_family_s_above_the_bound_exits_before_any_work(mode, capsys):
     assert time.perf_counter() - start < 0.5
     assert capsys.readouterr() == ("", (
         f"error: family parameter s must be at most {S_MAX}, got {S_MAX + 1} "
-        "(memory grows by about 9 KB per unit of s)\n"))
+        "(memory grows by about 6 KB per unit of s)\n"))
 
 
 def test_bounds_n(capsys):

@@ -1,5 +1,7 @@
 import gc
 import hashlib
+import itertools
+import random
 import sys
 
 import pytest
@@ -19,6 +21,7 @@ from biembed.family import (
     CurrentPair,
     FamilyParameter,
     _autocorrelation,
+    _search_half,
     build_pair,
     current_sets,
     family_genus,
@@ -27,9 +30,9 @@ from biembed.family import (
     verify_pair,
 )
 from biembed.graphs import DifferenceSet
-from biembed.search import SearchStats
+from biembed.search import SearchStats, ZeroSumChains, unpack
 from biembed.verify import bigenus_lower_bound, render_report, verify_biembedding, with_stages
-from oracle import oracle_faces
+from oracle import oracle_faces, oracle_one_face_triples
 
 
 def test_parameter_rejects_zero():
@@ -62,6 +65,17 @@ def test_current_sets_partition(s):
     # the two swapped labels live in the second set, the anchors in the first
     assert {6 * s + 2, 12 * s + 5} <= x2.x
     assert {1, 6} <= x1.x
+
+
+def test_current_sets_match_the_loop_over_labels():
+    for s in range(1, 201):
+        p = FamilyParameter(s)
+        x1, x2 = {1, 6}, {6 * s + 2, 12 * s + 5}
+        for i in range(1, 12 * s + 7):
+            if i not in x1 and i not in x2:
+                (x1 if i % 6 in (2, 3, 5) else x2).add(i)
+        assert current_sets(p) == (DifferenceSet(p.n, frozenset(x1)),
+                                   DifferenceSet(p.n, frozenset(x2))), s
 
 
 def test_build_pair_s1():
@@ -233,19 +247,80 @@ def test_search_pair_least_budget_is_pinned():
     pair = search_pair(*current_sets(p), budget=26, stats=stats)
     assert pair is not None
     assert verify_pair(pair, p).passed
-    # both halves: 26 + 14 nodes, 8 + 3 links refused as early cycles
-    assert stats == SearchStats(nodes=40, early=11, max_depth=10)
+    # both halves: 26 + 14 nodes, 8 + 3 links refused as early cycles, and
+    # 5 moves refused as leaving an element with no live pair
+    assert stats == SearchStats(nodes=40, early=11, max_depth=10, starved=5)
     # the halves' nodes, summed by the number of triples held
     assert sum(stats.per_depth) == stats.nodes and len(stats.per_depth) <= stats.max_depth + 1
 
 
 def test_search_pair_s3_least_budget_is_pinned():
-    # the second half takes 64,268 nodes, the first 958
+    # the second half takes 22,214 nodes, the first 342
     p = FamilyParameter(3)
-    assert search_pair(*current_sets(p), budget=64_267) is None
-    pair = search_pair(*current_sets(p), budget=64_268)
+    assert search_pair(*current_sets(p), budget=22_213) is None
+    pair = search_pair(*current_sets(p), budget=22_214)
     assert pair is not None
     assert verify_pair(pair, p).passed
+
+
+def check_live(chains):
+    """Each unplaced element's live field against its pairs counted from
+    scratch; every other field holds the cover bit."""
+    n = len(chains.succ)
+    unplaced = {e for e in range(n) if chains.member[e] and chains.succ[e] < 0}
+    fields = unpack(chains.live, n, chains.width)
+    for a in range(n):
+        if a in unplaced:
+            pairs = [(b, c) for b in unplaced for c in [(-a - b) % n]
+                     if b < c and a not in (b, c) and c in unplaced]
+            assert fields[a] == len(pairs), a
+        else:
+            assert fields[a] >= chains.cover, a
+
+
+@pytest.mark.parametrize("n", [9, 13, 15, 21, 27, 37, 45])
+def test_initial_live_counts_match_a_recount(n):
+    # the counts come from the autocorrelation; for 3 | n an element a with
+    # 3a ≡ 0 has a = -a/2 = -2a
+    rng = random.Random(n)
+    for _ in range(20):
+        x = {d for d in range(1, n // 2 + 1) if rng.random() < 0.5} or {1}
+        elements = sorted(x | {n - d for d in x})
+        check_live(ZeroSumChains(n, elements, _autocorrelation(elements, n)))
+
+
+@pytest.mark.parametrize("s,nodes", [(1, 19), (2, 40)])
+def test_live_counts_match_a_recount_at_every_node(monkeypatch, s, nodes):
+    place, lift, placed = ZeroSumChains.place, ZeroSumChains.lift, []
+
+    def checked_place(chains, move):
+        placed.append(place(chains, move))
+        check_live(chains)
+        if placed[-1]:  # no unplaced element is left without a pair
+            fields = unpack(chains.live, len(chains.succ), chains.width)
+            assert min(fields) > 0
+        return placed[-1]
+
+    def checked_lift(chains):
+        lift(chains)
+        check_live(chains)
+
+    monkeypatch.setattr(ZeroSumChains, "place", checked_place)
+    monkeypatch.setattr(ZeroSumChains, "lift", checked_lift)
+    assert search_pair(*current_sets(FamilyParameter(s))) is not None
+    assert len(placed) == nodes
+
+
+@pytest.mark.parametrize("n", [13, 19, 21, 25])
+def test_search_half_finds_exactly_when_the_oracle_does(n):
+    # every X of size 3 or 6: the prunes cut nodes, never a solution
+    for size in (3, 6):
+        for x in itertools.combinations(range(1, n // 2 + 1), size):
+            found = _search_half(DifferenceSet(n, frozenset(x)), 10**6, None)
+            assert (found is not None) == oracle_one_face_triples(n, x), x
+            if found is not None:
+                assert validate_current_graph(found).ok
+                assert current_classes(found).x == frozenset(x)
 
 
 def test_search_pair_initial_counts_are_the_autocorrelation():

@@ -210,6 +210,30 @@ def test_chains_pack_counts_and_least_skips_covered_items(top):
     assert chains.counts == start
 
 
+@pytest.mark.parametrize("width", [8, 16, 32])
+def test_least_is_the_first_least_field(width):
+    # seeded fields: small ones next to fields of 256 and up, whose bytes
+    # match a small value across a field boundary, and covered ones (the top
+    # bit set), now and then all of them; one Chains, so each call starts
+    # from the least before it
+    rng = random.Random(width)
+    count, cover = 40, 1 << width - 1
+    chains = Chains([0] * count, [count], [cover - 1], lambda w: lambda b: 0)
+    assert chains.width == width
+    for trial in range(300):
+        covered = trial % 10 == 0
+        fields = [rng.choice([
+            rng.randrange(4),
+            256 * rng.randrange(1, cover >> 8 or 1) + rng.randrange(4) if width > 8 else 3,
+            rng.randrange(cover),
+            cover + rng.randrange(cover),
+        ]) for _ in range(count)]
+        if covered:
+            fields = [f | cover for f in fields]
+        chains.counts = pack(fields, width)
+        assert chains.least() == (fields.index(min(fields)), min(fields)), fields
+
+
 @pytest.mark.parametrize("width", [8, 16])
 def test_translates_rotates_one_indicator(width):
     assert indicator([0, 2], 5, width) == pack([1, 0, 1, 0, 0], width)
