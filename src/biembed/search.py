@@ -99,7 +99,6 @@ class Chains:
         self.counts = pack(counts, self.width) + covers
         self.hit = lru_cache(max(1, (1 << 23) // (len(group) * self.width or 1)))(hits(self.width))
         self.taken = self.early = self.starved = 0
-        self.low = 0  # the last least, where the next call starts
 
     def place(self, move) -> bool:
         """Make every link of ``move``, in order; False, changing nothing
@@ -150,47 +149,36 @@ class Chains:
             free[group[a]] += 1
 
     def least(self) -> tuple[int, int]:
-        """The first item whose field is least, and that field.
+        """The first item whose field is least, and that field: at least
+        ``cover`` once every item has a successor.
 
         A byte a field: each value from 0 up is looked for in C.  Wider:
         ``(counts - t * ones) & ~counts & highs`` flags the fields below t,
         for t up to ``cover``.  Only a borrow from a flagged field can flag
-        the field above it wrongly, so the lowest flag is exact.  t gallops
-        from the last least, which a move or a lift shifts by little, then
-        bisects: a few int operations a call, where a pass over the fields
-        would unpack and scan every one.
+        the field above it wrongly, so the lowest flag is exact, and t is
+        bisected over [0, cover]: ``width`` int operations a call, where a
+        pass over the fields would unpack and scan every one.
         """
-        counts, ones = self.counts, self.ones
+        counts = self.counts
         if self.width == 8:
             data = counts.to_bytes(len(self.succ), "little")
-            for low in range(256):
+            for low in range(self.cover):
                 at = data.find(low)
                 if at >= 0:
                     return at, low
+            return 0, self.cover
         clear = ~counts & self.highs  # the fields below cover
-        if not clear:  # every item covered: once a search, at its end
-            fields = unpack(counts, len(self.succ), self.width)
-            low = min(fields)
-            return fields.index(low), low
-
-        def below(t: int) -> int:
-            return (counts - t * ones) & clear
-
-        # gallop down, then up, to lo and hi with no field below lo and
-        # ``flags`` the fields below hi; then bisect
-        cover, step = self.cover, 1
-        lo, hi = self.low, min(self.low + 1, cover)
-        while lo and below(lo):
-            lo, hi, step = max(lo - step, 0), lo, 2 * step
-        while not (flags := below(hi)):
-            lo, hi, step = hi, min(hi + step, cover), 2 * step
+        if not clear:
+            return 0, self.cover
+        ones = self.ones
+        # no field is below lo; the lowest of ``flags`` is the first below hi
+        lo, hi, flags = 0, self.cover, clear
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if fewer := below(mid):
+            if fewer := (counts - mid * ones) & clear:
                 hi, flags = mid, fewer
             else:
                 lo = mid
-        self.low = lo
         return (flags ^ flags - 1).bit_length() // self.width - 1, lo
 
 
