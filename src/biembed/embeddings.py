@@ -47,7 +47,7 @@ class RotationSystem:
         out-of-range entries; built once, on first use."""
         n = len(self.rotation)
         return Graph(n, frozenset(
-            (min(v, w), max(v, w))
+            (v, w) if v < w else (w, v)
             for v, row in enumerate(self.rotation) for w in row if w != v and 0 <= w < n
         ))
 

@@ -52,16 +52,15 @@ class DifferenceSet:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"modulus must be positive, got {self.n}")
-        for d in self.x:
-            if not (1 <= d <= self.n // 2):
-                raise ValueError(
-                    f"difference {d} outside 1..{self.n // 2} for modulus {self.n}"
-                )
-            if self.n % 2 == 0 and d == self.n // 2:
-                raise ValueError(
-                    f"difference {d} equals n/2 for even modulus {self.n}; "
-                    "the two directions coincide"
-                )
+        x, half = self.x, self.n // 2
+        if x and (min(x) < 1 or max(x) > half):
+            d = min(x) if min(x) < 1 else max(x)
+            raise ValueError(f"difference {d} outside 1..{half} for modulus {self.n}")
+        if self.n % 2 == 0 and half in x:
+            raise ValueError(
+                f"difference {half} equals n/2 for even modulus {self.n}; "
+                "the two directions coincide"
+            )
 
 
 def partition_overlap(x1: DifferenceSet, x2: DifferenceSet) -> list[int] | None:
@@ -149,10 +148,14 @@ def cycles(phi: list[int], starts):
 
 
 def is_antimorphism(g: Graph, p: Permutation) -> bool:
-    """True iff p maps g onto its edge-complement."""
+    """True iff p maps g onto its edge-complement: as p permutes the pairs,
+    iff E holds half of them and no edge's image is an edge, in O(|E|)."""
     if p.n != g.n:
         raise ValueError(f"permutation size {p.n} does not match graph order {g.n}")
-    return make_graph(g.n, ((p(u), p(v)) for u, v in g.edges)) == complement(g)
+    images, edges = p.images, g.edges
+    return 4 * len(edges) == g.n * (g.n - 1) and edges.isdisjoint(
+        (a, b) if a < b else (b, a) for u, v in edges for a, b in [(images[u], images[v])]
+    )
 
 
 def parse_graph_file(text: str) -> Graph:

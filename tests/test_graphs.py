@@ -1,10 +1,12 @@
 import random
+import tracemalloc
 
 import pytest
 
 from biembed.currents import certify_log
 from biembed.graphs import (
     DifferenceSet,
+    Graph,
     Permutation,
     complement,
     is_antimorphism,
@@ -63,13 +65,18 @@ def test_circulant_gcd_disconnection():
 
 
 def test_difference_set_validation():
-    with pytest.raises(ValueError):
-        DifferenceSet(10, frozenset({5}))  # n/2 for even n
-    with pytest.raises(ValueError):
-        DifferenceSet(10, frozenset({6}))
-    with pytest.raises(ValueError):
-        DifferenceSet(10, frozenset({0}))
+    for n, x, message in [
+        (10, {5}, "difference 5 equals n/2 for even modulus 10; the two directions coincide"),
+        (10, {1, 2, 6}, "difference 6 outside 1..5 for modulus 10"),
+        (10, {0, 3}, "difference 0 outside 1..5 for modulus 10"),
+        (11, {-2, 1, 4}, "difference -2 outside 1..5 for modulus 11"),
+        (11, {1, 6}, "difference 6 outside 1..5 for modulus 11"),
+    ]:
+        with pytest.raises(ValueError) as caught:
+            DifferenceSet(n, frozenset(x))
+        assert str(caught.value) == message
     DifferenceSet(11, frozenset({5}))  # floor(11/2) is fine
+    DifferenceSet(10, frozenset())
 
 
 def test_complement_involution():
@@ -127,6 +134,17 @@ def test_permutation_validation_and_composition():
 def test_is_antimorphism_size_mismatch():
     with pytest.raises(ValueError, match="does not match graph order 3"):
         is_antimorphism(make_complete(3), Permutation((0, 1, 2, 3)))
+
+
+def test_is_antimorphism_memory_follows_the_edges_not_n_squared():
+    # an edgeless graph on 10,000 vertices has ~5·10⁷ non-edges; none is built
+    tracemalloc.start()
+    try:
+        assert not is_antimorphism(Graph(10_000, frozenset()), Permutation(tuple(range(10_000))))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_identity_is_never_an_antimorphism():

@@ -1,11 +1,12 @@
 import gc
 import hashlib
+import random
 from collections import Counter
 
 import pytest
 
 from biembed.embeddings import RotationSystem, surface_stats, trace_faces, validate_rotation
-from biembed.graphs import Permutation, is_antimorphism, make_complete, make_graph
+from biembed.graphs import Permutation, complement, is_antimorphism, make_complete, make_graph
 from biembed.search import SearchStats
 from biembed.selfcomp import (
     CYCLE_PLUS_FIXED_POINT,
@@ -19,7 +20,7 @@ from biembed.selfcomp import (
     standard_antimorphism,
     verify_table,
 )
-from biembed.verify import bigenus_lower_bound
+from biembed.verify import bigenus_lower_bound, render_report, verify_biembedding, with_stages
 
 
 def test_standard_antimorphism_shapes():
@@ -115,26 +116,63 @@ def test_verify_table_wrong_form_fails():
     assert ("self-complementary under σ", False) in report.stages
 
 
-def _antimorphism_stage(rs, form):
-    return dict(verify_table(rs, form).stages)["self-complementary under σ"]
+def doubled_report(rs, form):
+    """verify_table's report built the long way: the doubled embedding
+    certified as two halves, its n×n partition table as the σ stage."""
+    report = verify_biembedding(rs, relabel(rs, standard_antimorphism(form)), form.n)
+    return with_stages(report, [("rotation valid", validate_rotation(rs).ok),
+                                ("self-complementary under σ", report.partition_ok)])
+
+
+def variants(rs):
+    """The rows as given, with an entry of row 0 repeated, and with row 0
+    listing vertex 0 itself."""
+    rows = list(rs.rotation)
+    return {
+        "as given": rs,
+        "duplicate entry": RotationSystem((rows[0] + rows[0][:1],) + tuple(rows[1:])),
+        "self entry": RotationSystem((rows[0] + (0,),) + tuple(rows[1:])),
+    }
 
 
 @pytest.mark.parametrize("n", [16, 21, 24])
 @pytest.mark.parametrize("kind", [FULL_CYCLE, CYCLE_PLUS_FIXED_POINT])
 def test_antimorphism_stage_agrees_with_is_antimorphism_on_tables(n, kind):
-    rs, _ = load_bundled_table(n)
     form = AntimorphismForm(kind, n)
-    expected = is_antimorphism(rs.graph, standard_antimorphism(form))
-    assert _antimorphism_stage(rs, form) == expected
+    for rs in variants(load_bundled_table(n)[0]).values():
+        assert render_report(verify_table(rs, form)) == render_report(doubled_report(rs, form))
+
+
+@pytest.mark.parametrize("n", [16, 21, 24])
+def test_relabelling_keeps_the_certificate(n):
+    # an embedding relabelled by any permutation is isomorphic to it, so
+    # verify_table may use one certificate for both halves
+    rng = random.Random(n)
+    for rs in variants(load_bundled_table(n)[0]).values():
+        for _ in range(50):
+            images = list(range(n))
+            rng.shuffle(images)
+            assert relabel(rs, Permutation(tuple(images))).certificate == rs.certificate
+
+
+@pytest.mark.parametrize("entry", [-1, 16, 99])
+def test_relabel_refuses_an_entry_out_of_range(entry):
+    rs, form = load_bundled_table(16)
+    rs = RotationSystem((rs.rotation[0] + (entry,),) + rs.rotation[1:])
+    sigma = standard_antimorphism(form)
+    with pytest.raises(ValueError, match=f"row 0 lists {entry}, outside 0..15"):
+        relabel(rs, sigma)
+    # the graph skips the entry, so it is still table16's graph
+    assert is_antimorphism(rs.graph, sigma)
+    assert dict(verify_table(rs, form).stages)["self-complementary under σ"]
 
 
 @pytest.mark.parametrize("form", [AntimorphismForm(FULL_CYCLE, 8),
                                   AntimorphismForm(CYCLE_PLUS_FIXED_POINT, 9)])
 def test_antimorphism_stage_agrees_with_is_antimorphism_on_seeded_graphs(form):
-    # the stage reads the edge partition of the doubled embedding; relabelling
-    # a graph by the swap of vertices i and j tests it under σ with the images
-    # of i and j swapped, which stays an antimorphism for half the graphs
-    # when j = i + 4 and never for the other swaps here
+    # relabelling a graph by the swap of vertices i and j tests it under σ
+    # with the images of i and j swapped, which stays an antimorphism for
+    # half the graphs when j = i + 4 and never for the other swaps here
     n = form.n
     sigma = standard_antimorphism(form)
     graphs = []
@@ -157,7 +195,10 @@ def test_antimorphism_stage_agrees_with_is_antimorphism_on_seeded_graphs(form):
                 rows[v].append(u)
             rs = RotationSystem(tuple(map(tuple, rows)))
             expected = is_antimorphism(h, sigma)
-            assert _antimorphism_stage(rs, form) == expected
+            # the definition: σ maps the edges onto the complement's
+            assert expected == (
+                make_graph(n, ((sigma(u), sigma(v)) for u, v in h.edges)) == complement(h))
+            assert render_report(verify_table(rs, form)) == render_report(doubled_report(rs, form))
             outcomes[expected] += 1
     assert outcomes[True] > len(graphs) and outcomes[False] > 0
 

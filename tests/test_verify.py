@@ -319,11 +319,15 @@ def test_current_classes_computed_once_per_current_graph(monkeypatch, capsys):
     assert made == [61, 61, 37, 37]
 
 
-def test_verify_table_validates_and_traces_each_half_once(counted, tmp_path, capsys):
+def test_verify_table_validates_and_traces_each_half_once(counted, monkeypatch, tmp_path, capsys):
+    # the second half is the table relabelled by σ, an isomorphic embedding:
+    # its certificate is the table's, and the σ stage is is_antimorphism
+    doubled = count_calls(monkeypatch, ("relabel", "verify_biembedding", "complement"))
     path = tmp_path / "table21.rot"
     path.write_text(resources.files("biembed.data").joinpath("table21.rot").read_text())
     assert cli.main(["verify-table", "--rotation", str(path)]) == 0
-    assert counted == {"certify_half": 2, "_face_permutation": 2, "spans_all": 2}
+    assert counted == {"certify_half": 1, "_face_permutation": 1, "spans_all": 1}
+    assert doubled == {}
 
 
 def test_parser_is_built_once_per_process(monkeypatch, capsys):
@@ -341,7 +345,8 @@ def test_family_verify_validates_and_traces_each_current_graph_once(monkeypatch,
 
 
 def test_certifier_builds_no_edge_set(monkeypatch, tmp_path, capsys):
-    # the rows are the whole map: no circulant or parsed edge set is built
+    # the rows are the whole map: no circulant or parsed edge set is built;
+    # verify-table reads the table's graph once, for the σ stage, from the rows
     calls = count_calls(monkeypatch, ("make_circulant", "make_graph"))
     table = tmp_path / "table21.rot"
     table.write_text(resources.files("biembed.data").joinpath("table21.rot").read_text())
