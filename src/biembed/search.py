@@ -70,7 +70,7 @@ class Chains:
     ``succ``/``pred`` are -1 where unset; at each end of a path, ``end``
     holds the item at its other end.  ``taken`` and ``early`` count links
     refused as taken and as closing a cycle early, and ``starved`` the moves
-    a subclass refuses once their links are made (``ZeroSumChains``).
+    a subclass refuses with their links made but no count changed yet.
 
     Each item has a count: at first ``counts[i]``, the number of its
     candidate successors, less one for each candidate that takes a
@@ -193,9 +193,10 @@ class ZeroSumChains(Chains):
     ``live`` packs, in the chains' fields, the live pairs of each unplaced
     element a: the pairs {b, c} of unplaced elements with a + b + c ≡ 0,
     b ≠ c, and b, c ≠ a.  Placing triples only takes pairs away, so an
-    element left with none can never be placed: ``place`` lifts such a move
-    again and counts it in ``starved`` (forward checking; Haralick and
-    Elliott, 1980).  The fields of the other items hold the cover bit.
+    element left with none can never be placed: ``place`` refuses such a
+    move before it changes a count, so it is never lifted, and counts it in
+    ``starved`` (forward checking; Haralick and Elliott, 1980).  The fields
+    of the other items hold the cover bit.
     """
 
     def __init__(self, n: int, elements, counts) -> None:
@@ -207,7 +208,6 @@ class ZeroSumChains(Chains):
         w, half = self.width, (n + 1) // 2  # 2 * half ≡ 1
         self.n, self.member, self.half = n, member, half
         unplaced = widen(member, w)  # U, the elements without a successor
-        self.negated = unplaced | unplaced << w * n  # -U twice, as E = -E
         # the ordered pairs of elements with b + c ≡ -a are counted at -a,
         # which is counts[a] as E = -E; less b = c = -a/2, and b or c = a
         # with the other -2a.  When 3a ≡ 0 these three are the one pair (a, a)
@@ -224,54 +224,63 @@ class ZeroSumChains(Chains):
         self.live = (pairs >> 1) + outside
 
     def place(self, move) -> bool:
-        """``Chains.place``, then False, changing nothing but ``starved``,
-        if the move leaves an unplaced element with no live pair."""
-        if not super().place(move):
-            return False
-        self._shift(move, -1)
-        live = self.live
-        if (live - self.ones) & ~live & self.highs:  # some field is 0
-            self.lift()
+        """``Chains.place``, but False, changing nothing but ``starved``,
+        if the links leave an unplaced element with no live pair."""
+        succ, pred, end, free = self.succ, self.pred, self.end, self.free
+        ends: list[int] = []
+        for a, b in move:  # Chains.place's links, in the one group
+            if succ[a] >= 0 or pred[b] >= 0:
+                self.taken += 1
+            elif end[a] == b and free[0] > 1:
+                self.early += 1
+            else:
+                s, e = end[a], end[b]
+                succ[a], pred[b] = b, a
+                end[s], end[e] = e, s
+                free[0] -= 1
+                ends += s, e
+                continue
+            break
+        else:
+            lost, delta = self._loss(move)
+            live = self.live - lost
+            if not (live - self.ones) & ~live & self.highs:  # no field is 0
+                hit = self.hit
+                for _, b in move:
+                    delta -= hit(b)
+                self.counts += delta
+                self.live = live
+                self.log.append((move, ends))
+                return True
             self.starved += 1
-            return False
-        return True
+        self._unlink(move[: len(ends) // 2], ends)
+        return False
 
     def lift(self) -> None:
-        self._shift(self.log[-1][0], 1)
+        self.live += self._loss(self.log[-1][0])[0]  # recomputed, as Chains.lift's delta
         super().lift()
 
-    def _shift(self, move, sign: int) -> None:
-        """Take the elements ``move`` placed out of -U and the live pairs
-        they held out of ``live`` (sign -1, after ``Chains.place``), or put
-        them back (sign 1, before ``Chains.lift``).  Recomputed at each
-        lift: a logged delta is O(n) bytes per move held."""
-        w, n = self.width, self.n
-        if sign < 0:
-            self.negated -= self._negated(move)
-        # x in U loses the pair {a, -x-a} of each a placed when -x-a is in
-        # U: -U rotated by a.  For x in U no -x-a is another of the triple,
-        # so U after the move serves for all three
-        u = (~self.counts & self.highs) >> w - 1  # the fields below cover: U
-        twice, member, succ = self.negated, self.member, self.succ
-        lost = 0
+    def _loss(self, move) -> tuple[int, int]:
+        """The live pairs that the elements ``move`` places take from U
+        after the move, less their own cover bits, and those cover bits:
+        the same with its links made, before its counts change or after."""
+        w, n, member, succ = self.width, self.n, self.member, self.succ
+        covers = 0
         for a, _ in move:
-            lost += (twice >> w * a & u) - (self.cover << w * a)
+            covers += self.cover << w * a
+        u = (~(self.counts | covers) & self.highs) >> w - 1  # U after the move
+        # -U: reversed, field i is 1 << w - 8 when n - 1 - i is in U; << 8 makes it field i + 1
+        neg = int.from_bytes(u.to_bytes(w // 8 * n, "little")[::-1], "little") << 8
+        twice = neg | neg << w * n
+        # x in U loses {a, -x-a} when -x-a is in U: -U rotated by a.  No such
+        # -x-a is another of the triple, so one U serves for all three
+        lost = -covers
+        for a, _ in move:
+            lost += twice >> w * a & u
             x = (n - a) * self.half % n  # -x-a is x itself: no pair
             if member[x] and succ[x] < 0:
                 lost -= 1 << w * x
-        if sign < 0:
-            self.live -= lost
-        else:
-            self.live += lost
-            self.negated += self._negated(move)
-
-    def _negated(self, move) -> int:
-        """The fields of -U that the elements ``move`` places set, twice."""
-        w, n = self.width, self.n
-        bits = 0
-        for a, _ in move:
-            bits += 1 << w * (n - a)
-        return bits | bits << w * n
+        return lost, covers
 
 
 @dataclass
@@ -279,8 +288,8 @@ class SearchStats:
     """Counters of ``backtrack`` runs, summed: moves tried, links refused
     (``Chains.taken``, ``Chains.early``), targets with a count of 0, the
     most moves held at once, whether a run hit its budget, moves refused
-    once their links were made (``Chains.starved``), and the moves tried
-    with d moves held, at index d."""
+    before any count changed as they would starve an item
+    (``Chains.starved``), and the moves tried with d moves held, at index d."""
 
     nodes: int = 0
     taken: int = 0

@@ -263,6 +263,24 @@ def test_search_pair_s3_least_budget_is_pinned():
     assert verify_pair(pair, p).passed
 
 
+def test_search_pair_s3_stats_are_pinned_and_no_starved_move_is_lifted(monkeypatch):
+    # the benchmark's s = 3 op: a starved move is refused before any count
+    # changes, so each lift takes back a move that was kept, and the 2 x 14
+    # triples of the pair found stay held
+    lift, lifts = ZeroSumChains.lift, []
+
+    def counted_lift(chains):
+        lifts.append(None)
+        lift(chains)
+
+    monkeypatch.setattr(ZeroSumChains, "lift", counted_lift)
+    stats = SearchStats()
+    assert search_pair(*current_sets(FamilyParameter(3)), budget=200_000, stats=stats) is not None
+    assert stats == SearchStats(nodes=22_556, taken=0, early=3_003, starved=12_403,
+                                dead_ends=0, max_depth=14)
+    assert len(lifts) == stats.nodes - stats.taken - stats.early - stats.starved - 28 == 7_122
+
+
 def check_live(chains):
     """Each unplaced element's live field against its pairs counted from
     scratch; every other field holds the cover bit."""

@@ -316,6 +316,44 @@ def test_place_refused_at_a_later_link_changes_nothing(move, refused):
         "taken": refused == "taken", "early": refused == "early"}
 
 
+@pytest.mark.parametrize("case", ["taken", "s=1", "s=2", "table16"])
+def test_a_refused_move_leaves_the_chains_as_they_were(monkeypatch, case):
+    # each refusal, as taken, early or starved, undoes its links and
+    # changes no count, no live pair and no log entry
+    from biembed import family, search, selfcomp
+
+    refused = []
+
+    def snapshot(chains):
+        return state(chains), getattr(chains, "live", None)
+
+    def checked(place):
+        def checked_place(chains, move):
+            before = snapshot(chains)
+            if place(chains, move):
+                return True
+            assert snapshot(chains) == before
+            refused.append(move)
+            return False
+        return checked_place
+
+    for cls in (search.Chains, search.ZeroSumChains):
+        monkeypatch.setattr(cls, "place", checked(cls.place))
+    stats = SearchStats()
+    if case == "taken":  # 1 has its predecessor: refused at the first link
+        chains = chains_over([0, 0], [2], [{1}, {1}])
+        assert chains.place([(0, 1)]) and not chains.place([(1, 1)])
+        stats.taken = chains.taken
+    elif case == "table16":
+        g = selfcomp.load_bundled_table(16)[0].graph
+        assert selfcomp.search_triangular(g, 1_000, stats) is not None
+    else:
+        p = family.FamilyParameter(int(case[2:]))
+        assert family.search_pair(*family.current_sets(p), stats=stats) is not None
+    assert len(refused) == stats.taken + stats.early + stats.starved > 0
+    assert stats.starved > 0 or case in ("taken", "table16")
+
+
 def test_lift_restores_the_state_before_place():
     # a move of three links across two groups, joining and closing paths
     chains = chains_over([0, 0, 0, 1, 1], [3, 2], [{1, 2}, {2}, {0}, {4}, {3}])
