@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import family, selfcomp
-from .currents import derive_embedding, parse_current_graph_file
+from .currents import derived_text, parse_current_graph_file
 from .embeddings import parse_rotation_file, serialize_rotation
 from .graphs import parse_graph_file
 from .verify import (
@@ -25,15 +25,16 @@ from .verify import (
 )
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(chunks, out: str | None) -> None:
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
-        Path(out).write_text(text)
+        with open(out, "w") as f:
+            f.writelines(chunks)
 
 
 def _emit_report(report: BiembeddingReport, out: str | None) -> int:
-    _emit(render_report(report), out)
+    _emit((render_report(report),), out)
     return 0 if report.passed else 1
 
 
@@ -72,7 +73,7 @@ def cmd_bounds(args) -> int:
     if g is not None:
         lines.append(f"g: {g}")
         lines.append(f"bichromatic upper bound: {bichromatic_upper_bound(g)}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(("\n".join(lines) + "\n",), args.out)
     return 0
 
 
@@ -89,13 +90,13 @@ def cmd_selfcomp_search(args) -> int:
     if rs is None:
         print(f"no triangular embedding found within budget {args.budget}", file=sys.stderr)
         return 1
-    _emit(serialize_rotation(rs), args.out)
+    _emit((serialize_rotation(rs),), args.out)
     return 0
 
 
 def cmd_derive(args) -> int:
-    rs = derive_embedding(parse_current_graph_file(Path(args.current_graph).read_text()))
-    _emit(serialize_rotation(rs), args.out)
+    # certified before a byte is written, so a failure leaves no --out file
+    _emit(derived_text(parse_current_graph_file(Path(args.current_graph).read_text())), args.out)
     return 0
 
 

@@ -19,7 +19,8 @@ That embedding is Z_n-invariant, so it is certified from the log alone
 difference d, the face goes on with difference phi(d) = next_log(-d), and a
 phi-orbit of length L whose differences sum to S gives gcd(n, S) faces of
 length L·n/gcd(n, S).  ``certify_log`` counts them in O(|log|), kept as
-``CurrentGraph.certificate``; the rows are built only by ``derive_embedding``.
+``CurrentGraph.certificate``.  ``derived_text`` renders the rows as text from
+the log, in chunks; only ``derive_embedding`` builds them as ints.
 
 Storage: flat int lists.  Dart ``off[v] + i`` is arc i of row v in rotation
 order, to ``head[d]``, carrying ``current[d]`` in 1..n-1 as it leaves v (the
@@ -227,6 +228,23 @@ def derive_embedding(cg: CurrentGraph) -> RotationSystem:
     certify_derived(cg)
     log = circuit_log(cg)
     return RotationSystem(tuple(tuple((k + d) % cg.n for d in log) for k in range(cg.n)))
+
+
+_BLOCK = 2**16  # entries per chunk of derived_text
+
+
+def derived_text(cg: CurrentGraph):
+    """``serialize_rotation(derive_embedding(cg))`` as chunks of text, checked
+    by ``certify_derived`` before this returns.  Read down the rows, log entry
+    d's column is Z_n rotated by d, so each chunk of about _BLOCK entries is
+    sliced from one list of the n names, with no int row built."""
+    certify_derived(cg)
+    log, n = circuit_log(cg), cg.n
+    names = list(map(str, range(n)))
+    twice, rows = names + names, max(1, _BLOCK // len(log))
+    return ("".join(map("{}. {}\n".format, names[k:k + rows],  # the labels end the last chunk
+                        map(" ".join, zip(*[twice[k + d:k + d + rows] for d in log]))))
+            for k in range(0, n, rows))
 
 
 _ENTRY = re.compile(r"\((-?\d+),(-?\d+)\)")

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -217,6 +218,45 @@ def test_derive_rejects_degenerate_files(tmp_path, capsys, text, message):
     path.write_text(text)
     assert main(["derive", "--current-graph", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_derive_memory_follows_n_not_the_rows(tmp_path):
+    # the rows as ints and their whole text would take 45 MB traced
+    n = 100_003
+    path, target = tmp_path / "theta.cur", tmp_path / "rows.txt"
+    path.write_text(f"n {n}\n0: (1,-1) (1,-2) (1,3)\n1: (0,2) (0,-3) (0,1)\n")
+    tracemalloc.start()
+    try:
+        code = main(["derive", "--current-graph", str(path), "--out", str(target)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    lines = target.read_text().splitlines()
+    assert (len(lines), lines[-1]) == (n, f"{n - 1}. 0 {n - 3} {n - 4} {n - 2} 1 2")
+    assert peak < 15 * 2**20
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("n 37\n0: (1,-1) (1,-2) (1,-3)\n1: (0,1) (0,2) (0,3)\n",
+         "current graph fails validation: currents entering vertex 0 sum to 6, not 0; "
+         "currents entering vertex 1 sum to 31, not 0"),
+        ("n 21\n0: (1,-3) (1,-6) (1,9)\n1: (0,3) (0,6) (0,-9)\n",
+         "derived graph disconnected (the currents share a factor with 21): "
+         "the result would be more than one triangulated surface"),
+    ],
+    ids=["kirchhoff", "disconnected"],
+)
+def test_derive_writes_nothing_before_its_certificate(tmp_path, capsys, text, message):
+    path, target = tmp_path / "bad.cur", tmp_path / "rows.txt"
+    path.write_text(text)
+    assert main(["derive", "--current-graph", str(path), "--out", str(target)]) == 2
+    assert not target.exists()
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert main(["derive", "--current-graph", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from biembed import currents
 from biembed.cli import main
 from biembed.currents import (
     CurrentGraph,
@@ -10,12 +11,13 @@ from biembed.currents import (
     circuit_log,
     current_classes,
     derive_embedding,
+    derived_text,
     parse_current_graph_file,
     serialize_current_graph,
     validate_current_graph,
 )
-from biembed.embeddings import RotationSystem, surface_stats, trace_faces
-from biembed.family import FamilyParameter, build_pair
+from biembed.embeddings import RotationSystem, serialize_rotation, surface_stats, trace_faces
+from biembed.family import FamilyParameter, build_pair, search_pair
 from biembed.graphs import DifferenceSet, make_circulant
 from oracle import oracle_current_faces, oracle_current_report, random_current_rows
 
@@ -27,13 +29,12 @@ def theta_z7() -> CurrentGraph:
     reverses enter vertex 1, so Kirchhoff holds (1+2+4 = 7) and the derived
     embedding is a triangulation of K_7 on the torus.
     """
-    return CurrentGraph(
-        7,
-        (
-            (((1, 6), (1, 5), (1, 3))),
-            (((0, 2), (0, 4), (0, 1))),
-        ),
-    )
+    return theta(7)
+
+
+def theta(n: int) -> CurrentGraph:
+    """The theta graph over Z_n in which currents 1, 2 and n - 3 enter vertex 0."""
+    return CurrentGraph(n, (((1, n - 1), (1, n - 2), (1, 3)), ((0, 2), (0, n - 3), (0, 1))))
 
 
 def test_theta_all_four_properties():
@@ -397,3 +398,28 @@ def test_derive_rejects_a_flipped_current(tmp_path, capsys, old, new, err):
     path.write_text(text.replace(old, new))
     assert main(["derive", "--current-graph", str(path)]) == 2
     assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
+def _derived_inputs():
+    for s in range(1, 11):
+        pair = build_pair(FamilyParameter(s))
+        yield pytest.param(pair.first, id=f"s{s}-first")
+        yield pytest.param(pair.second, id=f"s{s}-second")
+    k13 = search_pair(DifferenceSet(13, frozenset({1, 3, 4})), DifferenceSet(13, frozenset({2, 5, 6})))
+    yield pytest.param(k13.first, id="k13-first")
+    yield pytest.param(k13.second, id="k13-second")
+    for n in (7, 13, 20_011, 100_003):  # Z_100,003 spans 10 chunks, the last one short
+        yield pytest.param(theta(n), id=f"theta-{n}")
+
+
+@pytest.mark.parametrize("cg", _derived_inputs())
+def test_derived_text_is_the_serialized_derived_embedding(monkeypatch, cg):
+    reference = serialize_rotation(derive_embedding(cg))
+    size = len(circuit_log(cg))
+    uneven = next(rows for rows in range(3, cg.n) if cg.n % rows)
+    # the default chunks, chunks of one row, and chunks of a row count not dividing n
+    for block in (currents._BLOCK, 1, uneven * size):
+        monkeypatch.setattr(currents, "_BLOCK", block)
+        chunks = list(derived_text(cg))
+        assert len(chunks) == -(-cg.n // max(1, block // size))
+        assert "".join(chunks) == reference
