@@ -62,11 +62,6 @@ class CurrentPair:
             raise ValueError(
                 f"moduli differ: {self.first.n} vs {self.second.n}"
             )
-        overlap = partition_overlap(self.first.classes, self.second.classes)
-        if overlap:
-            raise ValueError(f"current sets overlap: {overlap}")
-        if overlap is not None:
-            raise ValueError("current sets do not cover {1..⌊n/2⌋}")
 
 
 def family_genus(s: int) -> int:

@@ -69,8 +69,9 @@ class Chains:
     all items of its group, so a group is paths until it is one full cycle.
     ``succ``/``pred`` are -1 where unset; at each end of a path, ``end``
     holds the item at its other end.  ``taken`` and ``early`` count links
-    refused as taken and as closing a cycle early, and ``starved`` the moves
-    a subclass refuses with their links made but no count changed yet.
+    refused as taken and as closing a cycle early.  Once every link of a
+    move holds, ``place`` asks ``_admit`` before any count changes; a
+    subclass refuses a move there, and counts it in ``starved``.
 
     Each item has a count: at first ``counts[i]``, the number of its
     candidate successors, less one for each candidate that takes a
@@ -101,8 +102,9 @@ class Chains:
         self.taken = self.early = self.starved = 0
 
     def place(self, move) -> bool:
-        """Make every link of ``move``, in order; False, changing nothing
-        but ``taken`` or ``early``, if a link is taken or closes early."""
+        """Make every link of ``move``, in order, and change the counts;
+        False, changing nothing but ``taken``, ``early`` or what ``_admit``
+        counts, if a link is taken or closes early or ``_admit`` refuses."""
         succ, pred, end, free, group = self.succ, self.pred, self.end, self.free, self.group
         ends: list[int] = []
         for a, b in move:
@@ -117,26 +119,34 @@ class Chains:
                 free[group[a]] -= 1
                 ends += s, e
                 continue
-            self._unlink(move[: len(ends) // 2], ends)
-            return False
+            break
+        else:
+            if self._admit(move):
+                self.counts += self._delta(move)
+                self.log.append((move, ends))
+                return True
+        self._unlink(move[: len(ends) // 2], ends)
+        return False
+
+    def _admit(self, move) -> bool:
+        """Whether to keep ``move``, its links made and no count changed yet."""
+        return True
+
+    def _delta(self, move) -> int:
+        """What ``move`` adds to ``counts``: the cover bit of each link's
+        tail, less the hit of its head."""
         hit, width, cover = self.hit, self.width, self.cover
         delta = 0
         for a, b in move:
             delta += (cover << width * a) - hit(b)
-        self.counts += delta
-        self.log.append((move, ends))
-        return True
+        return delta
 
     def lift(self) -> None:
         """Undo the latest move still in place."""
         move, ends = self.log.pop()
-        self._unlink(move, ends)
         # recomputed from the cache: a logged delta is O(n) bytes per move held
-        hit, width, cover = self.hit, self.width, self.cover
-        delta = 0
-        for a, b in move:
-            delta += (cover << width * a) - hit(b)
-        self.counts -= delta
+        self.counts -= self._delta(move)
+        self._unlink(move, ends)
 
     def _unlink(self, links, ends: list[int]) -> None:
         """Undo ``links``, made in order with ``ends``, last first."""
@@ -193,10 +203,10 @@ class ZeroSumChains(Chains):
     ``live`` packs, in the chains' fields, the live pairs of each unplaced
     element a: the pairs {b, c} of unplaced elements with a + b + c ≡ 0,
     b ≠ c, and b, c ≠ a.  Placing triples only takes pairs away, so an
-    element left with none can never be placed: ``place`` refuses such a
-    move before it changes a count, so it is never lifted, and counts it in
-    ``starved`` (forward checking; Haralick and Elliott, 1980).  The fields
-    of the other items hold the cover bit.
+    element left with none can never be placed: ``_admit`` refuses such a
+    move inside ``Chains.place``, before it changes a count, so it is never
+    lifted, and counts it in ``starved`` (forward checking; Haralick and
+    Elliott, 1980).  The fields of the other items hold the cover bit.
     """
 
     def __init__(self, n: int, elements, counts) -> None:
@@ -223,47 +233,24 @@ class ZeroSumChains(Chains):
         self.counts += outside
         self.live = (pairs >> 1) + outside
 
-    def place(self, move) -> bool:
-        """``Chains.place``, but False, changing nothing but ``starved``,
-        if the links leave an unplaced element with no live pair."""
-        succ, pred, end, free = self.succ, self.pred, self.end, self.free
-        ends: list[int] = []
-        for a, b in move:  # Chains.place's links, in the one group
-            if succ[a] >= 0 or pred[b] >= 0:
-                self.taken += 1
-            elif end[a] == b and free[0] > 1:
-                self.early += 1
-            else:
-                s, e = end[a], end[b]
-                succ[a], pred[b] = b, a
-                end[s], end[e] = e, s
-                free[0] -= 1
-                ends += s, e
-                continue
-            break
-        else:
-            lost, delta = self._loss(move)
-            live = self.live - lost
-            if not (live - self.ones) & ~live & self.highs:  # no field is 0
-                hit = self.hit
-                for _, b in move:
-                    delta -= hit(b)
-                self.counts += delta
-                self.live = live
-                self.log.append((move, ends))
-                return True
+    def _admit(self, move) -> bool:
+        """False, counting it in ``starved``, if the links leave an unplaced
+        element with no live pair."""
+        live = self.live - self._loss(move)
+        if (live - self.ones) & ~live & self.highs:  # a field is 0
             self.starved += 1
-        self._unlink(move[: len(ends) // 2], ends)
-        return False
+            return False
+        self.live = live
+        return True
 
     def lift(self) -> None:
-        self.live += self._loss(self.log[-1][0])[0]  # recomputed, as Chains.lift's delta
+        self.live += self._loss(self.log[-1][0])  # recomputed, as Chains.lift's delta
         super().lift()
 
-    def _loss(self, move) -> tuple[int, int]:
+    def _loss(self, move) -> int:
         """The live pairs that the elements ``move`` places take from U
-        after the move, less their own cover bits, and those cover bits:
-        the same with its links made, before its counts change or after."""
+        after the move, less their own cover bits: the same with its links
+        made, before its counts change or after."""
         w, n, member, succ = self.width, self.n, self.member, self.succ
         covers = 0
         for a, _ in move:
@@ -280,7 +267,7 @@ class ZeroSumChains(Chains):
             x = (n - a) * self.half % n  # -x-a is x itself: no pair
             if member[x] and succ[x] < 0:
                 lost -= 1 << w * x
-        return lost, covers
+        return lost
 
 
 @dataclass

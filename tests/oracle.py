@@ -64,6 +64,29 @@ def random_rotation_data(rng: random.Random, max_n: int = 8):
     return n, edges, rows
 
 
+def oracle_rotation_violations(rows) -> list[tuple[int, str]]:
+    """The (vertex, kind) of each way the rows fail to list exactly each
+    vertex's neighbors, u and v being neighbors when either row lists the
+    other.  Per vertex v: row v's entries in order, then each u it omits
+    though row u lists v, in ascending u."""
+    n = len(rows)
+    out = []
+    for v in range(n):
+        seen = []
+        for w in rows[v]:
+            if w == v:
+                out.append((v, "self in rotation"))
+            elif w in seen:
+                out.append((v, "duplicate neighbor"))
+            elif not 0 <= w < n:
+                out.append((v, "non-neighbor present"))
+            seen.append(w)
+        for u in range(n):
+            if u != v and v in rows[u] and u not in rows[v]:
+                out.append((v, "missing neighbor"))
+    return out
+
+
 def oracle_current_faces(n: int, rows) -> list[list[tuple[int, int]]]:
     """Faces of a current graph as lists of (vertex, slot) arcs.
 

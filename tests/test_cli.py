@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from biembed import currents
 from biembed.cli import main
 from biembed.currents import CurrentGraph, serialize_current_graph
 from biembed.embeddings import parse_rotation_file, trace_faces
@@ -257,6 +258,25 @@ def test_derive_writes_nothing_before_its_certificate(tmp_path, capsys, text, me
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert main(["derive", "--current-graph", str(path)]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_derive_refuses_a_modulus_above_its_bound(tmp_path, capsys, monkeypatch):
+    # the bound lowered to 1,009 so that no large n is run: the theta with
+    # currents 1, 2, 3 passes at the bound and is refused one prime above it
+    monkeypatch.setattr(currents, "N_MAX", 1_009)
+    path, target = tmp_path / "theta.cur", tmp_path / "rows.txt"
+    path.write_text("n 1009\n0: (1,-1) (1,-2) (1,3)\n1: (0,2) (0,-3) (0,1)\n")
+    assert main(["derive", "--current-graph", str(path), "--out", str(target)]) == 0
+    assert len(target.read_text().splitlines()) == 1_009
+    target.unlink()
+    path.write_text("n 1013\n0: (1,-1) (1,-2) (1,3)\n1: (0,2) (0,-3) (0,1)\n")
+    message = ("error: modulus must be at most 1009 to derive, got 1013 "
+               "(memory grows by about 84 B per vertex)\n")
+    assert main(["derive", "--current-graph", str(path), "--out", str(target)]) == 2
+    assert not target.exists()
+    assert capsys.readouterr() == ("", message)
+    assert main(["derive", "--current-graph", str(path)]) == 2
+    assert capsys.readouterr() == ("", message)
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -212,7 +212,9 @@ def test_certificate_validity_matches_validate_rotation():
             rng.shuffle(rows[v])  # still valid
         kinds[kind] += 1
         rs = RotationSystem(tuple(map(tuple, rows)))
-        assert rs.certificate.valid == validate_rotation(rs).ok
+        violations = [(x.vertex, x.kind) for x in validate_rotation(rs).violations]
+        assert violations == oracle.oracle_rotation_violations(rows)
+        assert rs.certificate.valid == (not violations)
         if not rs.certificate.valid:
             assert rs.certificate.faces is None and not rs.certificate.triangular
             with pytest.raises(ValueError, match="validate_rotation"):
@@ -231,6 +233,34 @@ def test_certificate_validity_matches_validate_rotation():
         checked += 1
     assert checked > 400 and len(kinds) == 8
     assert partitions[True] > 50 and partitions[False] > 20
+
+
+def test_validate_rotation_lists_violations_as_the_oracle_does():
+    # up to three mutations a system, so one row can break in several ways
+    # at once and its violations must come in the oracle's order
+    rng = random.Random(43)
+    several = 0
+    for _ in range(1_000):
+        n, _, rows = random_rotation_data(rng)
+        rows = [list(r) for r in rows]
+        for _ in range(rng.randint(1, 3)):
+            v = rng.randrange(n)
+            row, kind = rows[v], rng.randrange(5)
+            if kind == 0 and row:
+                row.pop(rng.randrange(len(row)))
+            elif kind == 1 and row:
+                row.insert(rng.randrange(len(row) + 1), rng.choice(row))
+            elif kind == 2:
+                row.insert(rng.randrange(len(row) + 1), v)
+            elif kind == 3:
+                row.append(rng.choice([-1, n, n + 2]))
+            else:
+                row.append(rng.randrange(n))
+        want = oracle.oracle_rotation_violations(rows)
+        rs = RotationSystem(tuple(map(tuple, rows)))
+        assert [(x.vertex, x.kind) for x in validate_rotation(rs).violations] == want
+        several += len(want) > len({v for v, _ in want})
+    assert several > 200
 
 
 def test_oracle_shares_no_code_with_the_package():

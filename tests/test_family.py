@@ -9,6 +9,7 @@ import pytest
 from biembed import cli, family
 from biembed.currents import (
     CurrentGraph,
+    certify_derived,
     circuit_log,
     current_classes,
     derive_embedding,
@@ -157,17 +158,22 @@ def test_template_rows_are_pinned():
 
 
 def test_current_pair_invariants():
-    pair = build_pair(FamilyParameter(1))
-    with pytest.raises(ValueError, match="overlap"):
-        CurrentPair(pair.first, pair.first)
+    # a pair whose classes overlap or leave labels out builds, and
+    # verify_pair's edge-partition stage is what fails it
+    p = FamilyParameter(1)
+    first = build_pair(p).first
     # a theta carrying 4, 8 and 25 = -12: disjoint from the first set, but
-    # leaves most labels out
+    # leaves most labels out.  On its own it certifies: genus 1, triangular
     theta = CurrentGraph(37, (((1, 33), (1, 29), (1, 12)), ((0, 4), (0, 8), (0, 25))))
-    with pytest.raises(ValueError, match="do not cover"):
-        CurrentPair(pair.first, theta)
+    half = certify_derived(theta)
+    assert (half.genus, half.triangular) == (1, True)
+    for second in (first, theta):
+        lines = render_report(verify_pair(CurrentPair(first, second), p)).splitlines()
+        for line in ("partition ok: no", "stage edge partition: FAIL", "result: FAIL"):
+            assert line in lines
     other = build_pair(FamilyParameter(2))
     with pytest.raises(ValueError, match="moduli"):
-        CurrentPair(pair.first, other.second)
+        CurrentPair(first, other.second)
 
 
 def test_verify_pair_rejects_a_pair_over_another_modulus():
