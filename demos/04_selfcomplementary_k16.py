@@ -22,8 +22,9 @@ from biembed import (
 rs, form = load_bundled_table(16)
 sigma = standard_antimorphism(form)
 
-# The whole 60-edge graph is forced by the neighborhood of vertex 0:
-# membership alternates around every orbit of vertex pairs under sigma.
+# The whole 60-edge graph is a formula in the neighborhood N(0) of vertex
+# 0: membership alternates around every orbit of vertex pairs under sigma,
+# so {i, i + x mod 16} is an edge iff (x in N(0)) != (i odd).
 seed = SeedNeighborhood(frozenset(rs.rotation[0]))
 print("seed neighborhood of 0:", sorted(seed.neighbors))
 rebuilt = build_from_seed(form, seed)

@@ -41,9 +41,8 @@ def _emit_report(report: BiembeddingReport, out: str | None) -> int:
 def cmd_verify_table(args) -> int:
     rs = parse_rotation_file(Path(args.rotation).read_text())
     n = len(rs.rotation)
-    # the full cycle exists only for even n; odd orders park a fixed point
-    kind = args.form or (selfcomp.FULL_CYCLE if n % 2 == 0 else selfcomp.CYCLE_PLUS_FIXED_POINT)
-    return _emit_report(selfcomp.verify_table(rs, selfcomp.AntimorphismForm(kind, n)), args.out)
+    form = selfcomp.AntimorphismForm(args.form, n) if args.form else selfcomp.standard_form(n)
+    return _emit_report(selfcomp.verify_table(rs, form), args.out)
 
 
 def cmd_family_verify(args) -> int:

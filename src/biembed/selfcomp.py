@@ -5,10 +5,12 @@ a triangular biembedding of K_n for free: relabel the same embedding
 through an antimorphism σ (an isomorphism G → complement of G) and the two
 copies partition the edges of K_n.
 
-The antimorphisms used here have one of two cyclic shapes, and under either
-one the whole graph is determined by the neighborhood of vertex 0: the rule
-edge(u,v) ⟺ not-edge(σu, σv) alternates membership around each orbit of
-vertex pairs, and every orbit passes through a pair {0, x}.
+The antimorphisms used here have one of two cyclic shapes: σ = i ↦ i + 1
+mod m on 0..m−1, with m = n (the full cycle) or m = n − 1 and the fixed
+point n − 1.  Under either, the whole graph is a formula in the
+neighborhood N(0) of vertex 0: the rule edge(u,v) ⟺ not-edge(σu, σv)
+alternates membership around each orbit of vertex pairs, σ^i maps {0, x}
+to {i, i + x mod m}, and so {i, i + x} is an edge iff (x ∈ N(0)) ≠ (i odd).
 """
 
 from __future__ import annotations
@@ -40,6 +42,16 @@ class AntimorphismForm:
         if self.n < 2:
             raise ValueError(f"need n >= 2, got {self.n}")
 
+    @property
+    def cycle(self) -> int:
+        # σ cycles 0..cycle − 1; a vertex left over is its fixed point
+        return self.n if self.kind == FULL_CYCLE else self.n - 1
+
+
+def standard_form(n: int) -> AntimorphismForm:
+    """The full cycle for even n; odd orders park a fixed point."""
+    return AntimorphismForm(FULL_CYCLE if n % 2 == 0 else CYCLE_PLUS_FIXED_POINT, n)
+
 
 @dataclass(frozen=True)
 class SeedNeighborhood:
@@ -51,19 +63,17 @@ class SeedNeighborhood:
 
 
 def standard_antimorphism(form: AntimorphismForm) -> Permutation:
-    n = form.n
-    if form.kind == FULL_CYCLE:
-        return Permutation(tuple((i + 1) % n for i in range(n)))
-    images = tuple((i + 1) % (n - 1) for i in range(n - 1)) + (n - 1,)
-    return Permutation(images)
+    m = form.cycle
+    return Permutation(tuple((i + 1) % m for i in range(m)) + tuple(range(m, form.n)))
 
 
 def build_from_seed(form: AntimorphismForm, seed: SeedNeighborhood) -> Graph:
-    """The unique graph with the given vertex-0 neighborhood that σ maps
-    onto its own complement.
-
-    Membership propagates around each pair orbit with alternating sign; an
-    odd obstruction anywhere means no graph realizes the seed.
+    """The unique graph with vertex-0 neighborhood N(0) = seed that σ maps
+    onto its own complement, m being the length of σ's cycle: {i, i + x mod
+    m} is an edge iff (x ∈ N(0)) ≠ (i odd), and {i, m} with the fixed point
+    iff (m ∈ N(0)) ≠ (i odd).  σ^(m−x) maps {0, x} to {0, m − x}, so the
+    seed is consistent iff m is even and (x ∈ N(0)) = ((m − x ∈ N(0)) ≠
+    (x odd)) for every x in 1..m−1.
     """
     n = form.n
     if (n * (n - 1) // 2) % 2 != 0:
@@ -71,41 +81,26 @@ def build_from_seed(form: AntimorphismForm, seed: SeedNeighborhood) -> Graph:
             f"no self-complementary graph on {n} vertices: "
             f"{n * (n - 1) // 2} edges cannot split in half"
         )
-    for x in seed.neighbors:
+    s = seed.neighbors
+    for x in s:
         if not (1 <= x <= n - 1):
             raise ValueError(f"seed vertex {x} outside 1..{n - 1}")
 
-    sigma = standard_antimorphism(form)
-    state: dict[tuple[int, int], bool] = {}
-    queue: list[tuple[int, int]] = []
-    for x in range(1, n):
-        state[(0, x)] = x in seed.neighbors
-        queue.append((0, x))
-
-    while queue:
-        u, v = queue.pop()
-        value = state[(u, v)]
-        iu, iv = sigma(u), sigma(v)
-        image = (min(iu, iv), max(iu, iv))
-        if image in state:
-            if state[image] == value:
-                raise ValueError(
-                    f"inconsistent seed: the orbit of pair {image} under σ "
-                    "forces an edge to be both present and absent"
-                )
-            continue
-        state[image] = not value
-        queue.append(image)
-
-    undetermined = [
-        (u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in state
-    ]
-    if undetermined:
-        raise AssertionError(f"propagation left pairs undetermined: {undetermined}")
-
-    g = make_graph(n, (p for p, present in state.items() if present))
-    if not is_antimorphism(g, sigma):
-        raise AssertionError("propagated graph is not self-complementary under σ")
+    m = form.cycle
+    if m % 2:
+        raise ValueError(f"inconsistent seed: σ has an odd cycle, of length {m}")
+    for x in range(1, m):
+        if (x in s) != ((m - x in s) != x % 2):
+            rule = "exactly one" if x % 2 else "both or neither"
+            raise ValueError(f"inconsistent seed: σ^{m - x} maps {{0, {x}}} to {{0, {m - x}}}, "
+                             f"so {rule} of {x} and {m - x} must neighbor 0")
+    edges = [(i, (i + x) % m) for x in range(1, m // 2 + 1) for i in range(m)
+             if (x in s) != i % 2]
+    if m < n:
+        edges += [(i, m) for i in range(m) if (m in s) != i % 2]
+    g = make_graph(n, edges)
+    if not is_antimorphism(g, standard_antimorphism(form)):
+        raise AssertionError("seeded graph is not self-complementary under σ")
     return g
 
 
@@ -217,17 +212,13 @@ def search_triangular(
     return RotationSystem(tuple(rows))
 
 
-_TABLE_FORMS = {
-    16: FULL_CYCLE,
-    21: CYCLE_PLUS_FIXED_POINT,
-    24: FULL_CYCLE,
-}
+_TABLES = (16, 21, 24)
 
 
 def load_bundled_table(n: int) -> tuple[RotationSystem, AntimorphismForm]:
     """One of the shipped triangular self-complementary embeddings (n in
     {16, 21, 24})."""
-    if n not in _TABLE_FORMS:
-        raise ValueError(f"no bundled table for n={n}; have {sorted(_TABLE_FORMS)}")
+    if n not in _TABLES:
+        raise ValueError(f"no bundled table for n={n}; have {list(_TABLES)}")
     text = resources.files("biembed.data").joinpath(f"table{n}.rot").read_text()
-    return parse_rotation_file(text), AntimorphismForm(_TABLE_FORMS[n], n)
+    return parse_rotation_file(text), standard_form(n)

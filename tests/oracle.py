@@ -64,27 +64,47 @@ def random_rotation_data(rng: random.Random, max_n: int = 8):
     return n, edges, rows
 
 
-def oracle_rotation_violations(rows) -> list[tuple[int, str]]:
-    """The (vertex, kind) of each way the rows fail to list exactly each
-    vertex's neighbors, u and v being neighbors when either row lists the
-    other.  Per vertex v: row v's entries in order, then each u it omits
-    though row u lists v, in ascending u."""
+def oracle_rotation_violations(rows) -> list[tuple[int, str, int]]:
+    """The (vertex, kind, neighbor) of each way the rows fail to list
+    exactly each vertex's neighbors, u and v being neighbors when either row
+    lists the other; neighbor is the entry at fault, or the one missing.
+    Per vertex v: row v's entries in order, then each u it omits though row
+    u lists v, in ascending u."""
     n = len(rows)
     out = []
     for v in range(n):
         seen = []
         for w in rows[v]:
             if w == v:
-                out.append((v, "self in rotation"))
+                out.append((v, "self in rotation", w))
             elif w in seen:
-                out.append((v, "duplicate neighbor"))
+                out.append((v, "duplicate neighbor", w))
             elif not 0 <= w < n:
-                out.append((v, "non-neighbor present"))
+                out.append((v, "non-neighbor present", w))
             seen.append(w)
         for u in range(n):
             if u != v and v in rows[u] and u not in rows[v]:
-                out.append((v, "missing neighbor"))
+                out.append((v, "missing neighbor", u))
     return out
+
+
+def oracle_pair_orbits(images) -> list[int]:
+    """The lengths of the orbits of unordered vertex pairs under the
+    permutation v -> images[v], found by walking every pair."""
+    n = len(images)
+    seen: set[frozenset[int]] = set()
+    lengths = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            pair = frozenset((u, v))
+            length = 0
+            while pair not in seen:
+                seen.add(pair)
+                length += 1
+                pair = frozenset(images[w] for w in pair)
+            if length:
+                lengths.append(length)
+    return lengths
 
 
 def oracle_current_faces(n: int, rows) -> list[list[tuple[int, int]]]:

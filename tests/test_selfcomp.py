@@ -21,6 +21,7 @@ from biembed.selfcomp import (
     verify_table,
 )
 from biembed.verify import bigenus_lower_bound, render_report, verify_biembedding, with_stages
+from oracle import oracle_pair_orbits
 
 
 def test_standard_antimorphism_shapes():
@@ -62,10 +63,52 @@ def test_seed_range_checked():
 
 def test_inconsistent_seed_rejected():
     # under the 16-cycle, membership of {0,1} forces non-membership of {0,15}
-    with pytest.raises(ValueError, match="inconsistent seed"):
+    with pytest.raises(ValueError, match="inconsistent seed") as info:
         build_from_seed(
             AntimorphismForm(FULL_CYCLE, 16), SeedNeighborhood(frozenset({1, 15}))
         )
+    assert str(info.value) == (
+        "inconsistent seed: σ^15 maps {0, 1} to {0, 15}, "
+        "so exactly one of 1 and 15 must neighbor 0"
+    )
+    # an even x and its partner go together: 2 without 14 is refused
+    with pytest.raises(ValueError, match="both or neither of 2 and 14"):
+        build_from_seed(
+            AntimorphismForm(FULL_CYCLE, 16), SeedNeighborhood(frozenset({1, 2}))
+        )
+
+
+@pytest.mark.parametrize("form", [AntimorphismForm(FULL_CYCLE, 9),
+                                  AntimorphismForm(CYCLE_PLUS_FIXED_POINT, 8)])
+def test_odd_cycle_refuses_every_seed(form):
+    # the form does not match the parity of n, so σ's cycle has odd length
+    with pytest.raises(ValueError, match="inconsistent seed: σ has an odd cycle, of length"):
+        build_from_seed(form, SeedNeighborhood(frozenset({1})))
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 9, 12, 13, 16])
+@pytest.mark.parametrize("kind", [FULL_CYCLE, CYCLE_PLUS_FIXED_POINT])
+def test_every_graph_sigma_complements_is_built_from_its_seed(n, kind):
+    # σ written out here, not read from the package
+    m = n if kind == FULL_CYCLE else n - 1
+    images = [(v + 1) % m if v < m else v for v in range(n)]
+    pairs = {(u, v) for u in range(n) for v in range(u + 1, n)}
+    graphs = set()
+    for mask in range(1, 2 ** (n - 1)):
+        seed = frozenset(x for x in range(1, n) if mask >> (x - 1) & 1)
+        try:
+            g = build_from_seed(AntimorphismForm(kind, n), SeedNeighborhood(seed))
+        except ValueError:
+            continue
+        assert {v for u, v in g.edges if u == 0} == seed
+        mapped = {tuple(sorted((images[u], images[v]))) for u, v in g.edges}
+        assert mapped == pairs - g.edges
+        graphs.add(g.edges)
+    # each orbit of pairs alternates, so it offers two choices when its
+    # length is even and none when it is odd; every such graph is found
+    lengths = oracle_pair_orbits(images)
+    expected = 2 ** len(lengths) if all(k % 2 == 0 for k in lengths) else 0
+    assert len(graphs) == expected
 
 
 def test_sigma_squared_is_automorphism():
